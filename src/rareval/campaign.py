@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .metrics import MetricSpec, compute_metric
@@ -141,13 +140,27 @@ def mean_scores(matrix: ScoreMatrix) -> dict[str, float]:
     return {system: float(means[i]) for i, system in enumerate(matrix.systems)}
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks; tied values share the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_value = np.empty(ordered.size, dtype=bool)
+    new_value[:1] = True
+    new_value[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_value)
+    ends = np.append(starts[1:], ordered.size)
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def rank_systems(means: Mapping[str, float]) -> SystemRanking:
     """Rank best-first by mean score; ties get the average of their positions."""
     if not means:
         raise DataError("cannot rank an empty system set")
     ordered = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
     scores = np.array([m for _, m in ordered])
-    ranks = rankdata(-scores, method="average")
+    ranks = _midranks(-scores)
     return SystemRanking(
         [
             RankEntry(system, float(score), float(rank))

@@ -16,7 +16,7 @@ Results go to stdout as TSV (floats shown with 4 decimals) or, with
 go to stderr. Exit codes: 0 success, 1 data/format errors, 2 usage errors.
 Seeds default to a fixed constant so flag-free runs are reproducible;
 ``--threads`` (or ``RAREVAL_THREADS``) caps parallelism without changing any
-output.
+output, and is itself capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -72,15 +72,17 @@ def _emit(args, rows: list[dict]) -> None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("RAREVAL_THREADS")
-    if env:
+    """The requested thread count, between 1 and the CPU count."""
+    requested = args.threads
+    if requested is None:
+        env = os.environ.get("RAREVAL_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise ConfigError(f"RAREVAL_THREADS must be an integer, got {env!r}")
-    return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _run_sources(paths: Sequence[str]):
@@ -144,6 +146,18 @@ def _alpha_grid(text: str) -> list[float]:
         return [float(a) for a in text.split(",") if a.strip() != ""]
     except ValueError:
         raise ConfigError(f"bad alpha grid {text!r}; expected comma-separated numbers")
+
+
+def _sizes(text: str) -> list[int]:
+    sizes = set()
+    for token in text.split(","):
+        try:
+            sizes.add(int(token))
+        except ValueError:
+            raise ConfigError(
+                f"bad --sizes token {token!r} in {text!r}; expected comma-separated integers"
+            )
+    return sorted(sizes)
 
 
 def _ap_depth(args):
@@ -296,7 +310,7 @@ def _cmd_subset(args) -> int:
     )
     threads = _threads(args)
     rows: list[dict] = []
-    for n in sorted({int(s) for s in args.sizes.split(",")}):
+    for n in _sizes(args.sizes):
         result = subset_experiment(
             campaign,
             spec,
@@ -428,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ap-depth", choices=["cutoff", "full"], default="cutoff")
     common.add_argument("--json", action="store_true")
     common.add_argument("--threads", type=int, default=None,
-                        help="parallelism cap (or RAREVAL_THREADS); output-invariant")
+                        help="parallelism cap (or RAREVAL_THREADS), at most the CPU "
+                        "count and the trial count; output-invariant")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("eval", parents=[inputs, common],

@@ -20,6 +20,7 @@ contribute nothing no matter how rare they are.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ class MetricConfig:
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be a finite number, got {self.alpha}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.rarity_variant not in RARITY_VARIANTS:

@@ -16,6 +16,11 @@ The HSD critical value comes from the studentized-range distribution; its
 quantile is found by root-finding on a CDF evaluated with adaptive
 quadrature (absolute error in q around 1e-6, far inside the 1e-4 target),
 and is validated against published tables in the test suite.
+
+Only the studentized range needs scipy (``scipy.special``, ``integrate`` and
+``optimize``), and it imports it on first use, so of the CLI commands only
+``discpower`` loads scipy. Tau-b is computed here with numpy and exact
+integer pair counts.
 """
 
 from __future__ import annotations
@@ -27,11 +32,6 @@ from functools import lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gammaln, ndtr
-from scipy.stats import chi2
-from scipy.stats import kendalltau as _scipy_kendalltau
 
 from .campaign import ScoreMatrix, SystemRanking, evaluate_campaign
 from .errors import ConfigError, DataError, UndefinedRarityError
@@ -49,6 +49,44 @@ _STREAM_SUBSET = 102
 
 
 # --- rank correlation ---------------------------------------------------------
+
+# Cells of the pairwise sign matrices tau-b builds per block of rows; bounds
+# its memory at a few MB whatever the number of systems.
+_TAU_BLOCK_CELLS = 1 << 18
+
+
+def _tau_b(x, y) -> float:
+    """Kendall's tau-b of two equal-length vectors; NaN if a side is fully tied.
+
+    Concordant-minus-discordant and the tie counts are exact integers, and
+    the final expression and clamp are scipy's ``kendalltau(variant="b")``,
+    so the result equals scipy's bit for bit.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    n = x.size
+    tot = n * (n - 1) // 2
+    # Over ordered pairs (i, j), i == j included: each unordered pair counts
+    # twice and the diagonal adds n zero signs.
+    signed = x_zero = y_zero = 0
+    step = max(1, _TAU_BLOCK_CELLS // max(n, 1))
+    for start in range(0, n, step):
+        sx = np.sign(x[start : start + step, None] - x[None, :])
+        sy = np.sign(y[start : start + step, None] - y[None, :])
+        signed += int((sx * sy).sum())
+        x_zero += int(np.count_nonzero(sx == 0))
+        y_zero += int(np.count_nonzero(sy == 0))
+    con_minus_dis = signed // 2
+    xtie = (x_zero - n) // 2
+    ytie = (y_zero - n) // 2
+    if xtie == tot or ytie == tot:
+        return math.nan
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
+# perfbench/traced.py wraps tau-b under this name to time it as stats.tau.
+_scipy_kendalltau = _tau_b
 
 
 def kendall_tau(ranking_a: SystemRanking, ranking_b: SystemRanking) -> float:
@@ -69,25 +107,36 @@ def kendall_tau(ranking_a: SystemRanking, ranking_b: SystemRanking) -> float:
     if vb < va:
         # Tau-b is symmetric; fixing the call order keeps it bitwise so.
         va, vb = vb, va
-    return float(_scipy_kendalltau(va, vb, variant="b").statistic)
+    return _tau_b(va, vb)
 
 
 # --- studentized range --------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(240)
+_GL_POINTS = 240
 _U_LO, _U_HI = -9.0, 9.0
-_U = 0.5 * (_U_HI - _U_LO) * _GL_NODES + 0.5 * (_U_HI + _U_LO)
-_U_W = 0.5 * (_U_HI - _U_LO) * _GL_WEIGHTS
-_PHI_U = np.exp(-0.5 * _U * _U) / math.sqrt(2.0 * math.pi)
-_NDTR_U = ndtr(_U)
+
+
+@lru_cache(maxsize=None)
+def _normal_range_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes u on [-9, 9], weight * phi(u), and Phi(u)."""
+    from scipy.special import ndtr
+
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    u = 0.5 * (_U_HI - _U_LO) * nodes + 0.5 * (_U_HI + _U_LO)
+    u_w = 0.5 * (_U_HI - _U_LO) * weights
+    phi_u = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return u, u_w * phi_u, ndtr(u)
 
 
 def _normal_range_cdf(w: float, r: int) -> float:
     """P(range of r iid standard normals < w)."""
+    from scipy.special import ndtr
+
     if w <= 0.0:
         return 0.0
-    inner = (_NDTR_U - ndtr(_U - w)) ** (r - 1)
-    return float(r * np.sum(_U_W * _PHI_U * inner))
+    u, weighted_phi, ndtr_u = _normal_range_grid()
+    inner = (ndtr_u - ndtr(u - w)) ** (r - 1)
+    return float(r * np.sum(weighted_phi * inner))
 
 
 def studentized_range_cdf(q: float, n_groups: int, df: int) -> float:
@@ -98,6 +147,9 @@ def studentized_range_cdf(q: float, n_groups: int, df: int) -> float:
         raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
     if q <= 0.0:
         return 0.0
+    from scipy.integrate import quad
+    from scipy.special import gammaincinv, gammaln
+
     # s is the scaled chi variable sqrt(chi2_df / df); its log-density below.
     ln_norm = (1.0 - df / 2.0) * math.log(2.0) + (df / 2.0) * math.log(df) - gammaln(df / 2.0)
 
@@ -105,8 +157,9 @@ def studentized_range_cdf(q: float, n_groups: int, df: int) -> float:
         ln_pdf = ln_norm + (df - 1.0) * math.log(s) - df * s * s / 2.0
         return math.exp(ln_pdf) * _normal_range_cdf(q * s, n_groups)
 
-    lo = math.sqrt(chi2.ppf(1e-13, df) / df)
-    hi = math.sqrt(chi2.ppf(1.0 - 1e-13, df) / df)
+    # 2 * gammaincinv(df / 2, p) is the chi-square quantile (scipy's chi2.ppf).
+    lo = math.sqrt(2 * gammaincinv(df / 2, 1e-13) / df)
+    hi = math.sqrt(2 * gammaincinv(df / 2, 1.0 - 1e-13) / df)
     value, _err = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300)
     return min(1.0, max(0.0, value))
 
@@ -116,6 +169,8 @@ def studentized_range_quantile(level: float, n_groups: int, df: int) -> float:
     """Upper quantile q with P(Q < q) = level, by bisection on the CDF."""
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
+    from scipy.optimize import brentq
+
     lo, hi = 1e-6, 4.0
     while studentized_range_cdf(hi, n_groups, df) < level:
         hi *= 2.0
@@ -249,8 +304,9 @@ def stability(
         return (diff > 0).astype(float) + 0.5 * (diff == 0)
 
     wins = np.zeros((n_systems, n_systems))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, config.trials)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for contribution in pool.map(run_trial, range(config.trials)):
                 wins += contribution
     else:
@@ -454,9 +510,10 @@ def subset_experiment(
                 continue  # tau undefined on a fully tied side; resample
             if np.array_equal(reference, sub_means):
                 return 1.0, attempt
-            tau = _scipy_kendalltau(reference, sub_means, variant="b").statistic
+            # By its global name, so the benchmark's tracer can time it.
+            tau = _scipy_kendalltau(reference, sub_means)
             if not math.isnan(tau):
-                return float(tau), attempt
+                return tau, attempt
         raise DataError(
             f"tau undefined in {_MAX_RESAMPLE_ATTEMPTS} consecutive resamples; "
             "the campaign is too degenerate for this experiment"
@@ -464,8 +521,9 @@ def subset_experiment(
 
     taus: list[float] = []
     resamples = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, config.trials)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for tau, attempts in pool.map(run_trial, range(config.trials)):
                 taus.append(tau)
                 resamples += attempts

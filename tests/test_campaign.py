@@ -12,7 +12,9 @@ from rareval import (
     mean_scores,
     rank_systems,
 )
+from rareval.campaign import _midranks
 from rareval.errors import DataError
+from scipy.stats import rankdata
 
 from conftest import make_run
 
@@ -145,6 +147,15 @@ class TestRankSystems:
             means = {f"s{i}": float(rng.choice([0.1, 0.2, 0.3])) for i in range(n)}
             ranks = rank_systems(means).ranks_by_system()
             assert sum(ranks.values()) == pytest.approx(n * (n + 1) / 2)
+
+    def test_midranks_equal_scipy_rankdata_bitwise(self):
+        rng = np.random.default_rng(11)
+        vectors = [np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.full(7, 0.3)]
+        for _ in range(500):
+            n = int(rng.integers(1, 30))
+            vectors.append(rng.integers(0, int(rng.integers(1, 6)), n) / 3.0)
+        for values in vectors:
+            assert np.array_equal(_midranks(values), rankdata(values, method="average"))
 
     def test_display_order_breaks_ties_by_id_without_touching_ranks(self):
         ranking = rank_systems({"Z": 0.5, "A": 0.5})

@@ -2,11 +2,19 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rareval import load_campaign
-from rareval.cli import dispatch
+from rareval import (
+    MetricSpec,
+    StabilityConfig,
+    SubsetExperimentConfig,
+    load_campaign,
+    stability,
+    subset_experiment,
+)
+from rareval.cli import _threads, build_parser, dispatch
 
 TOY_RUNS = {
     "A": ["d1", "d2", "d4"],
@@ -240,7 +248,64 @@ class TestStabilityCommand:
         assert out.startswith("P@3\toverall\t")
 
 
+class TestThreadCap:
+    def _args(self, *extra):
+        return build_parser().parse_args(
+            ["stability", "--runs", "r", "--qrels", "q", *extra]
+        )
+
+    def test_flag_and_env_are_capped_at_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.delenv("RAREVAL_THREADS", raising=False)
+        assert _threads(self._args()) == 1
+        assert _threads(self._args("--threads", "1000000")) == 2
+        assert _threads(self._args("--threads", "0")) == 1
+        monkeypatch.setenv("RAREVAL_THREADS", "1000000")
+        assert _threads(self._args()) == 2
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _threads(self._args()) == 1
+
+    def test_pool_never_exceeds_the_trial_count(self, toy_files, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested pool size and runs trials inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("rareval.stats.ThreadPoolExecutor", RecordingPool)
+        runs, qrels = toy_files
+        campaign = load_campaign([Path(p) for p in runs], Path(qrels))
+        spec = MetricSpec.parse("P@3_rareness")
+        stability(campaign, spec, StabilityConfig(1, trials=3), threads=1000)
+        subset_experiment(campaign, spec, SubsetExperimentConfig(2, trials=5), threads=1000)
+        stability(campaign, spec, StabilityConfig(1, trials=1), threads=1000)
+        assert sizes == [3, 5]
+
+
 class TestSubsetCommand:
+    @pytest.mark.parametrize("sizes, token", [("a", "'a'"), ("", "''"), ("2,,4", "''")])
+    def test_bad_sizes_exit_2_naming_the_token(self, toy_files, capsys, sizes, token):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            ["subset", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+             "--sizes", sizes, "--trials", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--sizes" in err and f"token {token}" in err
+
     def test_full_size_row_is_one(self, toy_files, capsys):
         runs, qrels = toy_files
         code, out, _ = run_cli(
@@ -301,6 +366,62 @@ class TestDiscpowerCommand:
         )
         assert code == 1
         assert "2 systems and 2 topics" in err
+
+
+class TestNonFiniteAlpha:
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["eval", "--metric", "P@3_rareness", "--alpha", "nan"], "nan"),
+            (["compare", "--alphas", "0,inf"], "inf"),
+            (["eval", "--metric", "P@10_rareness(alpha=nan)"], "nan"),
+        ],
+    )
+    def test_exits_2_naming_the_value(self, toy_files, capsys, argv, value):
+        runs, qrels = toy_files
+        code, out, err = run_cli([*argv, "--runs", *runs, "--qrels", qrels], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"alpha must be a finite number, got {value}" in err
+
+
+class TestImportFootprint:
+    REPORT = (
+        "import sys\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+
+    def _scipy_modules(self, body):
+        """Run ``body`` in a fresh interpreter; return its scipy modules on stderr."""
+        result = subprocess.run(
+            [sys.executable, "-c", body + "\n" + self.REPORT],
+            capture_output=True, text=True,
+        )
+        return result.returncode, result.stdout, result.stderr.strip()
+
+    def test_import_and_help_load_no_scipy(self):
+        code, _, loaded = self._scipy_modules("import rareval, rareval.cli")
+        assert (code, loaded) == (0, "")
+        code, out, loaded = self._scipy_modules(
+            "from rareval.cli import dispatch\ndispatch(['--help'])"
+        )
+        assert (code, loaded) == (0, "")
+        assert "discpower" in out
+
+    def test_discpower_still_loads_scipy_and_runs(self, tmp_path):
+        body = (
+            "from rareval.cli import dispatch\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert dispatch(['synth', '--systems', '4', '--topics', '3', '--relevant', '6',"
+            " '--pool', '60', '--depth', '10', '--out', out]) == 0\n"
+            "runs = [f'{out}/sys{i:03d}.run' for i in range(4)]\n"
+            "assert dispatch(['discpower', '--runs', *runs, '--qrels',"
+            " f'{out}/qrels.txt', '--cutoff', '10']) == 0"
+        )
+        code, out, loaded = self._scipy_modules(body)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 5 + 12
+        assert "scipy.special" in loaded.split()
 
 
 class TestConsoleEntryPoint:

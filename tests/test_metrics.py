@@ -206,6 +206,9 @@ class TestConfigValidation:
             MetricConfig(cutoff=0)
         with pytest.raises(ConfigError):
             MetricConfig(alpha=-0.1)
+        for alpha in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                MetricConfig(alpha=alpha)
         with pytest.raises(ConfigError):
             MetricConfig(rarity_variant="idf")
 

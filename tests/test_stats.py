@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import kendalltau as scipy_kendalltau
 from scipy.stats import studentized_range as scipy_sr
 
 from rareval import (
@@ -25,7 +26,7 @@ from rareval import (
 )
 from rareval.errors import ConfigError, DataError
 from rareval.rng import substream
-from rareval.stats import _STREAM_STABILITY, _SubsetScorer, hsd_critical_difference
+from rareval.stats import _STREAM_STABILITY, _SubsetScorer, _tau_b, hsd_critical_difference
 
 import oracles
 from conftest import make_run
@@ -109,6 +110,38 @@ class TestKendallTau:
             except ZeroDivisionError:
                 continue
             assert kendall_tau(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+    def test_tau_b_equals_scipy_bitwise(self):
+        rng = np.random.default_rng(5)
+        pairs = [
+            ([1.0, 2.0], [2.0, 1.0]),  # n = 2
+            ([1.0, 2.0], [1.0, 2.0]),
+            ([3.0, 1.0, 2.0, 2.0], [3.0, 1.0, 2.0, 2.0]),  # identical, tied
+        ]
+        for _ in range(2000):
+            n = int(rng.integers(2, 25))
+            x = rng.integers(0, int(rng.integers(2, 7)), n) / 3.0
+            y = rng.integers(0, int(rng.integers(2, 7)), n) / 7.0
+            pairs.append((x, y))
+        for x, y in pairs:
+            for a, b in ((x, y), (y, x)):
+                expected = scipy_kendalltau(a, b, variant="b").statistic
+                # equal_nan: random draws include fully tied sides
+                assert np.array_equal([_tau_b(a, b)], [expected], equal_nan=True)
+
+    def test_tau_b_is_nan_when_a_side_is_fully_tied(self):
+        assert np.isnan(_tau_b([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+        assert np.isnan(_tau_b([1.0, 2.0], [0.5, 0.5]))
+        assert np.isnan(scipy_kendalltau([1.0, 2.0], [0.5, 0.5], variant="b").statistic)
+
+    def test_tau_b_blocks_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 9, 300) / 4.0
+        y = x + rng.integers(0, 3, 300)
+        whole = _tau_b(x, y)
+        monkeypatch.setattr("rareval.stats._TAU_BLOCK_CELLS", 1000)
+        assert _tau_b(x, y) == whole == scipy_kendalltau(x, y, variant="b").statistic
 
 
 class TestStudentizedRange:

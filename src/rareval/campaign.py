@@ -5,6 +5,10 @@ for a topic scores 0 there, which keeps matrices rectangular and evaluates
 incomplete runs strictly. Topics without relevant documents are excluded from
 AP-family aggregation (the skip set is carried on the matrix); the
 precision family scores them unless the same exclusion is requested.
+
+``evaluate_campaign`` scores a list of specs in one pass: one hit table per
+topic and scoring depth (``topic_hits``), scored by the one metric formula,
+``metrics.score_hits``, which sums every cell's gains in rank order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .metrics import MetricSpec, compute_metric
+from .metrics import HitTable, MetricSpec, hit_table, metric_bound, score_table
 from .rarity import RarityIndex, build_rarity_index
 from .trec_io import Campaign
 
@@ -73,6 +77,17 @@ class SystemRanking:
         raise DataError(f"no system {system_id!r} in this ranking")
 
 
+def topic_hits(
+    campaign: Campaign, topics: Sequence[str], bound: int | None
+) -> list[HitTable]:
+    """Each topic's hit table, one row per system in ``system_ids`` order."""
+    runs = sorted(campaign.runs, key=lambda run: run.system_id)
+    return [
+        hit_table([run.docs(t) for run in runs], campaign.qrels.relevant(t), bound)
+        for t in topics
+    ]
+
+
 def evaluate_campaign(
     campaign: Campaign,
     specs: Sequence[MetricSpec],
@@ -83,50 +98,48 @@ def evaluate_campaign(
     index: RarityIndex | None = None,
     n_relevant_override: Mapping[str, int] | None = None,
 ) -> list[ScoreMatrix]:
-    """Score every system on every judged topic for each metric spec.
+    """Score every system on every judged topic for each metric spec, in one pass.
 
-    The rarity index is built once and shared across all specs (rarity does
-    not depend on alpha); pass ``index`` to reuse a prebuilt one.
-    ``n_relevant_override`` substitutes AP-family denominators per topic
-    (sensitivity analyses that freeze them while qrels grow).
+    The hit table is built once per scoring depth and the rarity index once
+    for all specs (rarity does not depend on alpha); pass ``index`` to reuse
+    a prebuilt one. ``n_relevant_override`` substitutes AP-family
+    denominators per topic (sensitivity analyses that freeze them while
+    qrels grow).
     """
     topics = campaign.judged_topics
     if not topics:
         raise DataError("campaign has no judged topics")
     if index is None and any(s.needs_rarity for s in specs):
         index = build_rarity_index(campaign, rarity_depth)
-    systems = campaign.system_ids
-    runs = {r.system_id: r for r in campaign.runs}
-    relevant = {t: campaign.qrels.relevant(t) for t in topics}
-    n_rel = {t: len(relevant[t]) for t in topics}
+    n_rel = {t: campaign.qrels.n_relevant(t) for t in topics}
     if n_relevant_override is not None:
         n_rel.update(n_relevant_override)
 
+    tables: dict[int | None, list[HitTable]] = {}
     matrices: list[ScoreMatrix] = []
     for spec in specs:
-        if spec.is_ap_family or exclude_zero_relevant_for_p:
-            skipped = frozenset(t for t in topics if n_rel[t] == 0)
-        else:
-            skipped = frozenset()
-        values = np.zeros((len(systems), len(topics)))
-        for si, system in enumerate(systems):
-            run = runs[system]
-            for ti, topic in enumerate(topics):
-                if topic in skipped:
-                    continue
-                values[si, ti] = compute_metric(
-                    spec,
-                    run.docs(topic),
-                    relevant[topic],
-                    index,
-                    topic,
-                    n_rel[topic],
-                    ap_depth,
-                )
+        skip_empty = spec.is_ap_family or exclude_zero_relevant_for_p
+        skipped = frozenset(t for t in topics if skip_empty and n_rel[t] == 0)
+        bound = metric_bound(spec, ap_depth)
+        if bound not in tables:
+            tables[bound] = topic_hits(campaign, topics, bound)
+        values = np.zeros((campaign.n_systems, len(topics)))
+        for ti, (topic, table) in enumerate(zip(topics, tables[bound])):
+            if topic not in skipped:
+                values[:, ti] = score_table(spec, table, index, topic, n_rel[topic])
         matrices.append(
-            ScoreMatrix(spec.descriptor, systems, topics, values, skipped)
+            ScoreMatrix(spec.descriptor, campaign.system_ids, topics, values, skipped)
         )
     return matrices
+
+
+def topic_means(values: np.ndarray) -> np.ndarray:
+    """Row means of a systems x topics array, adding the topics in order.
+
+    Column-major layout makes numpy sum each row topic by topic; the subset
+    scorer averages here too, so its means equal ``mean_scores`` bit for bit.
+    """
+    return np.asfortranarray(values).mean(axis=1)
 
 
 def mean_scores(matrix: ScoreMatrix) -> dict[str, float]:
@@ -136,7 +149,7 @@ def mean_scores(matrix: ScoreMatrix) -> dict[str, float]:
         raise DataError(
             f"every topic is skipped for {matrix.metric_descriptor}; nothing to average"
         )
-    means = matrix.values[:, cols].mean(axis=1)
+    means = topic_means(matrix.values[:, cols])
     return {system: float(means[i]) for i, system in enumerate(matrix.systems)}
 
 

@@ -214,27 +214,22 @@ def _cmd_compare(args) -> int:
     campaign = _load(args)
     alphas = _alpha_grid(args.alphas)
     families = ("p", "ap") if args.family == "both" else (args.family,)
-    index = build_rarity_index(campaign, args.rarity_depth)
-    rows: list[dict] = []
+    specs: list[MetricSpec] = []
     for family in families:
         base_name = f"P@{args.cutoff}" if family == "p" else "AP"
-        weighted_name = (
-            f"P@{args.cutoff}_rareness" if family == "p" else "AP_rareness"
-        )
-        base_matrix = evaluate_campaign(
-            campaign,
-            [_parse_metric(args, base_name)],
-            ap_depth=_ap_depth(args),
-            index=index,
-        )[0]
-        base_ranking = rank_systems(mean_scores(base_matrix))
-        for alpha in alphas:
-            spec = _parse_metric(args, f"{weighted_name}(alpha={alpha},rarity={args.rarity})")
-            matrix = evaluate_campaign(
-                campaign, [spec], ap_depth=_ap_depth(args), index=index
-            )[0]
+        weighted = [f"{base_name}_rareness(alpha={a},rarity={args.rarity})" for a in alphas]
+        specs += [_parse_metric(args, name) for name in (base_name, *weighted)]
+    matrices = evaluate_campaign(
+        campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
+    )
+    rows: list[dict] = []
+    per_family = 1 + len(alphas)
+    for start in range(0, len(matrices), per_family):
+        base, *weighted = matrices[start : start + per_family]
+        base_ranking = rank_systems(mean_scores(base))
+        for alpha, matrix in zip(alphas, weighted):
             tau = kendall_tau(base_ranking, rank_systems(mean_scores(matrix)))
-            rows.append({"alpha": alpha, "metric": spec.descriptor, "tau": tau})
+            rows.append({"alpha": alpha, "metric": matrix.metric_descriptor, "tau": tau})
     _emit(args, rows)
     return 0
 
@@ -268,11 +263,11 @@ def _cmd_stability(args) -> int:
         [_parse_metric(args, m) for m in args.metric] if args.metric else _table_metrics(args)
     )
     threads = _threads(args)
+    matrices = evaluate_campaign(
+        campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
+    )
     rows: list[dict] = []
-    for spec in specs:
-        matrix = evaluate_campaign(
-            campaign, [spec], rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
-        )[0]
+    for spec, matrix in zip(specs, matrices):
         usable = matrix.scored_topic_indices().size
         sample = args.sample_size if args.sample_size is not None else max(1, usable // 2)
         result = stability(
@@ -524,6 +519,8 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "rarity_depth", None) is not None and args.rarity_depth < 1:
+            raise ConfigError(f"--rarity-depth must be >= 1, got {args.rarity_depth}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

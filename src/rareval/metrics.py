@@ -11,9 +11,13 @@ Two families, each in a standard and a rarity-weighted form:
 plus a bounded mixture form ``P@k_mixture``:
 ``(1/k) * sum_i [(1-alpha)*Rel(d_i) + alpha*Rel(d_i)*R(d_i)]``.
 
-Setting ``alpha = 0`` reverts every weighted form to its standard
-counterpart bit-for-bit: terms are summed in rank order in all paths, and a
-zero alpha contributes exactly ``0.0`` per term. Positions past the end of a
+The formula is written once, in ``score_hits``: the per-cell functions
+here, ``campaign.evaluate_campaign``, the subset scorer in ``stats`` and the
+probe trajectory in ``synth`` all score through it, and the rarity of a hit
+comes from ``rarity.rarity_of_counts``. Every path sums gains in rank order,
+so setting ``alpha = 0`` reverts every weighted form to its standard
+counterpart bit-for-bit: a zero alpha contributes exactly ``0.0`` per term,
+and the paths agree with each other to the last bit. Positions past the end of a
 ranking count as non-relevant, and non-relevant or unjudged documents
 contribute nothing no matter how rare they are.
 """
@@ -26,8 +30,10 @@ import warnings
 from dataclasses import dataclass
 from typing import AbstractSet, Literal, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, rarity_value
+from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, checked_counts, rarity_of_counts
 
 Formulation = Literal["additive", "mixture"]
 
@@ -72,15 +78,96 @@ class MetricConfig:
             )
 
 
+def score_hits(
+    spec: MetricSpec,
+    ranks: np.ndarray,
+    hit: np.ndarray,
+    rarity: np.ndarray | None,
+    n_relevant,
+) -> np.ndarray:
+    """Scores of rows of left-aligned relevant hits: the one metric formula.
+
+    ``ranks`` and ``hit`` are as in ``HitTable``, ``rarity`` is each hit's
+    rarity (``None`` for the base kinds) and ``n_relevant`` the AP denominator.
+    Padding gains are exactly 0.0, and the row-wise ``cumsum`` adds gains in
+    rank order, as a per-document loop would.
+    """
+    alpha = spec.config.alpha
+    if not spec.needs_rarity:
+        gains = hit.astype(float)
+    elif spec.kind == "p_mixture":
+        gains = np.where(hit, (1.0 - alpha) + alpha * rarity, 0.0)
+    else:
+        gains = np.where(hit, 1.0 + alpha * rarity, 0.0)
+    running = np.cumsum(gains, axis=1)
+    if spec.is_ap_family:
+        return np.cumsum(running / ranks, axis=1)[:, -1] / n_relevant
+    return running[:, -1] / spec.config.cutoff
+
+
+@dataclass(frozen=True)
+class HitTable:
+    """Relevant hits of some rankings, left-aligned, one row per ranking.
+
+    ``docs`` are the relevant documents hit, in first-seen order; ``ranks``,
+    ``columns`` and ``hit`` are rows x hits arrays of each hit's 1-based rank
+    (``inf`` in padding slots), its column in ``docs``, and whether it is one.
+    """
+
+    docs: tuple[str, ...]
+    ranks: np.ndarray
+    columns: np.ndarray
+    hit: np.ndarray
+
+
+def hit_table(
+    rankings: Sequence[Sequence[str]], relevant: AbstractSet[str], bound: int | None
+) -> HitTable:
+    """The relevant hits of each ranking within ``bound`` (``None``: all of it)."""
+    doc_col: dict[str, int] = {}
+    flat: list[tuple[int, int, int, int]] = []  # (row, slot, rank, column) per hit
+    for row, docs in enumerate(rankings):
+        scope = docs if bound is None else docs[: max(bound, 0)]
+        hits = [(rank, doc) for rank, doc in enumerate(scope, 1) if doc in relevant]
+        flat += [
+            (row, slot, rank, doc_col.setdefault(doc, len(doc_col)))
+            for slot, (rank, doc) in enumerate(hits)
+        ]
+    # Filled from one flat list; an array per ranking costs far more.
+    rows, slots, ranks, cols = np.array(flat, dtype=np.intp).reshape(-1, 4).T
+    shape = (len(rankings), int(slots.max(initial=0)) + 1)
+    rank_grid = np.full(shape, np.inf)
+    rank_grid[rows, slots] = ranks
+    col_grid = np.zeros(shape, dtype=np.intp)
+    col_grid[rows, slots] = cols
+    return HitTable(tuple(doc_col), rank_grid, col_grid, np.isfinite(rank_grid))
+
+
+def score_table(
+    spec: MetricSpec, table: HitTable, index: RarityIndex | None, topic: str, n_relevant
+) -> np.ndarray:
+    """``score_hits`` on a hit table, each hit's rarity counted in ``index``."""
+    if not table.docs:
+        return np.zeros(len(table.ranks))  # nothing hit scores exactly 0
+    rarity = None
+    if spec.needs_rarity:
+        counts = checked_counts(index, topic, table.docs)
+        variant = spec.config.rarity_variant
+        rarity = rarity_of_counts(counts, index.total_systems, variant)[table.columns]
+    return score_hits(spec, table.ranks, table.hit, rarity, n_relevant)
+
+
+def _score_one(spec, docs, relevant, bound, n_relevant=1, index=None, topic="") -> float:
+    """One ranking scored as a campaign is: its hit table, then ``score_table``."""
+    table = hit_table([docs], relevant, bound)
+    return float(score_table(spec, table, index, topic, n_relevant)[0])
+
+
 def precision_at_k(docs: Sequence[str], relevant: AbstractSet[str], k: int) -> float:
     """Fraction of the top-k positions holding relevant documents."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    hits = 0
-    for doc in docs[:k]:
-        if doc in relevant:
-            hits += 1
-    return hits / k
+    return _score_one(MetricSpec("p", MetricConfig(k, 0.0)), docs, relevant, k)
 
 
 def p_at_k_rareness(
@@ -93,14 +180,8 @@ def p_at_k_rareness(
     """Precision at k with each relevant hit boosted by ``alpha * rarity``."""
     if config.formulation != "additive":
         raise ConfigError("p_at_k_rareness requires the additive formulation")
-    k = config.cutoff
-    alpha = config.alpha
-    variant = config.rarity_variant
-    total = 0.0
-    for doc in docs[:k]:
-        if doc in relevant:
-            total += 1.0 + alpha * rarity_value(index, topic, doc, variant)
-    return total / k
+    spec = MetricSpec("p_rareness", config)
+    return _score_one(spec, docs, relevant, config.cutoff, 1, index, topic)
 
 
 def average_precision(
@@ -115,14 +196,8 @@ def average_precision(
     """
     if n_relevant < 1:
         raise DataError("average precision is undefined for a topic with no relevant docs")
-    upper = len(docs) if k is None else min(k, len(docs))
-    hits = 0
-    total = 0.0
-    for i in range(1, upper + 1):
-        if docs[i - 1] in relevant:
-            hits += 1
-            total += hits / i
-    return total / n_relevant
+    spec = MetricSpec("ap", MetricConfig(alpha=0.0))
+    return _score_one(spec, docs, relevant, k, n_relevant)
 
 
 def ap_rareness(
@@ -136,26 +211,13 @@ def ap_rareness(
 ) -> float:
     """Average precision whose per-rank precisions are rarity-weighted.
 
-    The prefix score at rank i is maintained as a running sum, so the whole
-    computation is linear in the scored depth. ``depth`` overrides the
-    summation bound (``None`` uses the config cutoff).
+    ``depth`` overrides the summation bound (``None`` uses the config cutoff).
     """
-    if config.formulation != "additive":
-        raise ConfigError("ap_rareness requires the additive formulation")
+    spec = MetricSpec("ap_rareness", config)  # rejects the mixture formulation
     if n_relevant < 1:
         raise DataError("average precision is undefined for a topic with no relevant docs")
     bound = config.cutoff if depth is None else depth
-    upper = min(bound, len(docs)) if bound is not None else len(docs)
-    alpha = config.alpha
-    variant = config.rarity_variant
-    running = 0.0
-    total = 0.0
-    for i in range(1, upper + 1):
-        doc = docs[i - 1]
-        if doc in relevant:
-            running += 1.0 + alpha * rarity_value(index, topic, doc, variant)
-            total += running / i
-    return total / n_relevant
+    return _score_one(spec, docs, relevant, bound, n_relevant, index, topic)
 
 
 def p_at_k_mixture(
@@ -166,18 +228,8 @@ def p_at_k_mixture(
     config: MetricConfig,
 ) -> float:
     """Convex mixture of precision and rarity reward, bounded in [0, 1]."""
-    if not 0.0 <= config.alpha <= 1.0:
-        raise ConfigError(
-            f"the mixture formulation needs alpha in [0, 1], got {config.alpha}"
-        )
-    k = config.cutoff
-    alpha = config.alpha
-    variant = config.rarity_variant
-    total = 0.0
-    for doc in docs[:k]:
-        if doc in relevant:
-            total += (1.0 - alpha) + alpha * rarity_value(index, topic, doc, variant)
-    return total / k
+    spec = MetricSpec("p_mixture", config)
+    return _score_one(spec, docs, relevant, config.cutoff, 1, index, topic)
 
 
 # --- metric naming -----------------------------------------------------------
@@ -209,6 +261,14 @@ class MetricSpec:
 
     kind: MetricKind
     config: MetricConfig
+
+    def __post_init__(self) -> None:
+        if self.kind in ("p_rareness", "ap_rareness") and self.config.formulation != "additive":
+            raise ConfigError(f"{self.kind} requires the additive formulation")
+        if self.kind == "p_mixture" and self.config.alpha > 1.0:
+            raise ConfigError(
+                f"the mixture formulation needs alpha in [0, 1], got {self.config.alpha}"
+            )
 
     @property
     def needs_rarity(self) -> bool:
@@ -294,31 +354,11 @@ class MetricSpec:
         return cls(kind, MetricConfig(cutoff, alpha, variant, formulation))
 
 
-def compute_metric(
-    spec: MetricSpec,
-    docs: Sequence[str],
-    relevant: AbstractSet[str],
-    index: RarityIndex | None,
-    topic: str,
-    n_relevant: int,
-    ap_depth: int | None | Literal["cutoff"] = "cutoff",
-) -> float:
-    """Evaluate one metric spec on one (system, topic) cell.
-
-    ``ap_depth`` is the AP-family summation bound: ``"cutoff"`` uses the
-    config cutoff, ``None`` scores the full ranking, an int overrides both.
-    """
-    cfg = spec.config
-    if spec.kind == "p":
-        return precision_at_k(docs, relevant, cfg.cutoff)
-    if spec.kind == "ap":
-        depth = cfg.cutoff if ap_depth == "cutoff" else ap_depth
-        return average_precision(docs, relevant, depth, n_relevant)
-    if index is None:
-        raise DataError(f"metric {spec.descriptor} needs a rarity index")
-    if spec.kind == "p_rareness":
-        return p_at_k_rareness(docs, relevant, index, topic, cfg)
-    if spec.kind == "ap_rareness":
-        depth = cfg.cutoff if ap_depth == "cutoff" else ap_depth
-        return ap_rareness(docs, relevant, index, topic, cfg, n_relevant, depth)
-    return p_at_k_mixture(docs, relevant, index, topic, cfg)
+def metric_bound(
+    spec: MetricSpec, ap_depth: int | None | Literal["cutoff"] = "cutoff"
+) -> int | None:
+    """How deep ``spec`` scores: the P family to its cutoff, the AP family to
+    ``ap_depth`` (``"cutoff"``: the cutoff, ``None``: everything, or an int)."""
+    if spec.is_ap_family and ap_depth != "cutoff":
+        return ap_depth
+    return spec.config.cutoff

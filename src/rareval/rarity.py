@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DataError, UndefinedRarityError
 from .trec_io import Campaign, Run
@@ -70,46 +72,45 @@ def extend_index(index: RarityIndex, run: Run) -> RarityIndex:
     return RarityIndex(index.total_systems + 1, counts, index.count_depth)
 
 
-def _checked_count(index: RarityIndex, topic: str, doc: str) -> int:
-    s_d = index.count(topic, doc)
-    if s_d < 1:
+def checked_counts(index: RarityIndex, topic: str, docs: Sequence[str]) -> np.ndarray:
+    """Retrieval counts of ``docs``; UndefinedRarityError names the first with none."""
+    counts = np.array([index.count(topic, doc) for doc in docs], dtype=np.int64)
+    if np.any(counts < 1):
+        depth = index.count_depth
         raise UndefinedRarityError(
-            f"no indexed system retrieved {doc!r} for topic {topic!r}"
-            + (
-                f" within count depth {index.count_depth}"
-                if index.count_depth is not None
-                else ""
-            )
+            f"no indexed system retrieved {docs[int(np.argmin(counts))]!r} for topic "
+            f"{topic!r}" + (f" within count depth {depth}" if depth is not None else "")
         )
-    return s_d
+    return counts
 
 
-def rareness(index: RarityIndex, topic: str, doc: str) -> float:
-    """Fraction-complement of retrieving systems: ``1 - S_d/S``."""
-    s_d = _checked_count(index, topic, doc)
-    return 1.0 - s_d / index.total_systems
-
-
-def rareness_revised(index: RarityIndex, topic: str, doc: str) -> float:
-    """Rescaled rarity ``1 - (S_d-1)/(S-1)``: 1 for unique, 0 for universal."""
-    s_d = _checked_count(index, topic, doc)
-    s = index.total_systems
-    if s == 1:
+def rarity_of_counts(counts, total: int, variant: RarityVariant) -> np.ndarray:
+    """Rarity of documents each retrieved by ``counts`` of ``total`` systems."""
+    counts = np.asarray(counts)
+    if variant == "eq2":
+        return 1.0 - counts / total
+    if variant != "revised":
+        raise DataError(f"unknown rarity variant {variant!r} (expected one of {RARITY_VARIANTS})")
+    if total == 1:
         # 0/0 case: with a single system every retrieval is trivially unique.
         warnings.warn(
             "revised rarity is meaningless with a single system; returning 1.0",
             stacklevel=2,
         )
-        return 1.0
-    return 1.0 - (s_d - 1) / (s - 1)
+        return np.ones(counts.shape)
+    return 1.0 - (counts - 1) / (total - 1)
 
 
-def rarity_value(index: RarityIndex, topic: str, doc: str, variant: RarityVariant) -> float:
-    if variant == "eq2":
-        return rareness(index, topic, doc)
-    if variant == "revised":
-        return rareness_revised(index, topic, doc)
-    raise DataError(f"unknown rarity variant {variant!r} (expected one of {RARITY_VARIANTS})")
+def rareness(index: RarityIndex, topic: str, doc: str) -> float:
+    """Fraction-complement of retrieving systems: ``1 - S_d/S``."""
+    s_d = checked_counts(index, topic, [doc])
+    return float(rarity_of_counts(s_d, index.total_systems, "eq2")[0])
+
+
+def rareness_revised(index: RarityIndex, topic: str, doc: str) -> float:
+    """Rescaled rarity ``1 - (S_d-1)/(S-1)``: 1 for unique, 0 for universal."""
+    s_d = checked_counts(index, topic, [doc])
+    return float(rarity_of_counts(s_d, index.total_systems, "revised")[0])
 
 
 class RarityRow(NamedTuple):
@@ -131,19 +132,13 @@ def rarity_report(
     """
     if topic not in campaign.qrels.judgments:
         raise DataError(f"topic {topic!r} is not judged in the qrels")
-    rows: list[RarityRow] = []
     by_doc = index.topic_counts(topic)
-    for doc in campaign.qrels.relevant(topic):
-        s_d = by_doc.get(doc, 0)
-        if s_d < 1:
-            continue
-        rows.append(
-            RarityRow(
-                doc=doc,
-                grade=campaign.qrels.grade(topic, doc),
-                retrievers=s_d,
-                rarity=rarity_value(index, topic, doc, variant),
-            )
-        )
+    found = [doc for doc in campaign.qrels.relevant(topic) if by_doc.get(doc, 0) >= 1]
+    counts = [by_doc[doc] for doc in found]
+    rarities = rarity_of_counts(counts, index.total_systems, variant)
+    rows = [
+        RarityRow(doc, campaign.qrels.grade(topic, doc), s_d, float(rarity))
+        for doc, s_d, rarity in zip(found, counts, rarities)
+    ]
     rows.sort(key=lambda r: (-r.rarity, r.doc))
     return rows

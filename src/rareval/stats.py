@@ -10,7 +10,9 @@ Four procedures:
   one system of a pair beats the other across seeded trials.
 * ``subset_experiment``    -- rank N randomly sampled systems with rarity
   recomputed over just those N, and correlate against their ordering in the
-  full-campaign ranking.
+  full-campaign ranking. Its scores come from the campaign's hit table and
+  the one metric formula, ``metrics.score_hits``, which sums in rank order,
+  so they equal ``evaluate_campaign`` on the subcampaign bit for bit.
 
 The HSD critical value comes from the studentized-range distribution; its
 quantile is found by root-finding on a CDF evaluated with adaptive
@@ -33,9 +35,10 @@ from typing import Literal
 
 import numpy as np
 
-from .campaign import ScoreMatrix, SystemRanking, evaluate_campaign
+from .campaign import ScoreMatrix, SystemRanking, evaluate_campaign, topic_hits, topic_means
 from .errors import ConfigError, DataError, UndefinedRarityError
-from .metrics import MetricSpec
+from .metrics import MetricSpec, metric_bound, score_hits
+from .rarity import rarity_of_counts
 from .rng import DEFAULT_SEED, substream
 from .trec_io import Campaign
 
@@ -362,11 +365,9 @@ _MAX_RESAMPLE_ATTEMPTS = 100
 class _SubsetScorer:
     """Re-scores system subsets with rarity recomputed over just the subset.
 
-    Precomputes, per usable topic, a boolean systems x relevant-docs
-    retrieval matrix (within the rarity count depth) and, per (system,
-    topic), the ranks and doc columns of relevant documents inside the
-    scored prefix. A trial then only sums count vectors and rarity terms.
-    Scores match the plain evaluate-a-subcampaign path (tested).
+    Holds the campaign's hit table and, per usable topic, a systems x docs
+    incidence grid of retrievals within the rarity count depth: a subset's
+    retrieval counts are the column sums of its rows.
     """
 
     def __init__(
@@ -377,99 +378,54 @@ class _SubsetScorer:
         rarity_depth: int | None,
         ap_depth,
     ):
+        if rarity_depth is not None and rarity_depth < 1:
+            raise DataError(f"count depth must be >= 1 or None, got {rarity_depth}")
+        if not campaign.judged_topics:
+            raise DataError("campaign has no judged topics")
         self.spec = spec
-        cfg = spec.config
-        matrix = evaluate_campaign(
-            campaign, [spec], rarity_depth=rarity_depth, ap_depth=ap_depth
-        )[0]
-        self.matrix = matrix
-        self.systems = matrix.systems
-        topics = [t for t in matrix.topics if t not in matrix.skipped_topics]
-        self.topics = topics
-        self.n_topics = len(topics)
-        runs = {r.system_id: r for r in campaign.runs}
-
-        if spec.is_ap_family:
-            bound = cfg.cutoff if ap_depth == "cutoff" else ap_depth
-        else:
-            bound = cfg.cutoff
-        self.retrieval: list[np.ndarray] = []
-        self.positions: dict[tuple[int, int], np.ndarray] = {}
-        self.columns: dict[tuple[int, int], np.ndarray] = {}
-        self.n_rel = np.array(
-            [campaign.qrels.n_relevant(t) for t in topics], dtype=float
-        )
-        for ti, topic in enumerate(topics):
-            relevant = campaign.qrels.relevant(topic)
-            doc_col: dict[str, int] = {}
-            rows: list[tuple[int, list[int], list[int]]] = []
-            for si, system in enumerate(self.systems):
-                entries = runs[system].rankings.get(topic, ())
-                counted = entries if rarity_depth is None else entries[:rarity_depth]
-                counted_docs = {e.doc for e in counted if e.doc in relevant}
-                pos: list[int] = []
-                col: list[int] = []
-                scored = entries if bound is None else entries[:bound]
-                for rank, entry in enumerate(scored, start=1):
-                    if entry.doc in relevant:
-                        c = doc_col.setdefault(entry.doc, len(doc_col))
-                        pos.append(rank)
-                        col.append(c)
-                for doc in counted_docs:
-                    doc_col.setdefault(doc, len(doc_col))
-                rows.append((si, pos, col))
-            grid = np.zeros((len(self.systems), len(doc_col)), dtype=bool)
-            for si, system in enumerate(self.systems):
-                entries = runs[system].rankings.get(topic, ())
-                counted = entries if rarity_depth is None else entries[:rarity_depth]
-                for entry in counted:
-                    c = doc_col.get(entry.doc)
-                    if c is not None:
-                        grid[si, c] = True
-            self.retrieval.append(grid)
-            for si, pos, col in rows:
-                self.positions[(si, ti)] = np.array(pos, dtype=float)
-                self.columns[(si, ti)] = np.array(col, dtype=int)
+        self.rarity_depth = rarity_depth
+        n_rel = {t: campaign.qrels.n_relevant(t) for t in campaign.judged_topics}
+        self.topics = [t for t in n_rel if n_rel[t] or not spec.is_ap_family]
+        self.n_rel = [n_rel[t] for t in self.topics]
+        self.tables = topic_hits(campaign, self.topics, metric_bound(spec, ap_depth))
+        runs = sorted(campaign.runs, key=lambda run: run.system_id)
+        self.incidence: list[np.ndarray] = []
+        for topic, table in zip(self.topics, self.tables):
+            doc_col = {doc: c for c, doc in enumerate(table.docs)}
+            grid = np.zeros((len(runs), len(doc_col)), dtype=bool)
+            for si, run in enumerate(runs):
+                for doc in run.docs(topic)[:rarity_depth]:
+                    if doc in doc_col:
+                        grid[si, doc_col[doc]] = True
+            self.incidence.append(grid)
         # The full-campaign reference ranking uses this same code path, so a
         # full-size subset reproduces it bit-for-bit (tau is then exactly 1).
-        self.full_means = self.subset_means(np.arange(len(self.systems)))
+        self.full_means = self.subset_means(np.arange(len(runs)))
 
     def subset_means(self, subset: np.ndarray) -> np.ndarray:
         """Per-system mean scores when only ``subset`` participates."""
         spec = self.spec
-        cfg = spec.config
-        n = len(subset)
-        # Base metrics never weight rarity, whatever the config carries.
-        alpha = 0.0 if spec.kind in ("p", "ap") else cfg.alpha
-        scores = np.zeros((n, self.n_topics))
-        for ti in range(self.n_topics):
-            counts = self.retrieval[ti][subset].sum(axis=0)
-            if cfg.rarity_variant == "eq2":
-                rarity = 1.0 - counts / n
-            else:
-                rarity = 1.0 - (counts - 1) / (n - 1) if n > 1 else np.ones_like(counts, dtype=float)
-            for row, si in enumerate(subset):
-                cols = self.columns[(si, ti)]
-                if cols.size == 0:
-                    continue
-                doc_counts = counts[cols]
-                if np.any(doc_counts < 1):
+        scores = np.zeros((len(subset), len(self.topics)))
+        for ti, table in enumerate(self.tables):
+            if not table.docs:
+                continue  # nothing hit scores exactly 0
+            columns = table.columns[subset]
+            hit = table.hit[subset]
+            rarity = None
+            if spec.needs_rarity:
+                counts = self.incidence[ti][subset].sum(axis=0)
+                uncounted = columns[hit][counts[columns[hit]] < 1]
+                if uncounted.size:
                     raise UndefinedRarityError(
-                        f"a scored document for topic {self.topics[ti]!r} is outside "
-                        "every sampled system's rarity count depth"
+                        f"no sampled system retrieved {table.docs[uncounted[0]]!r} for "
+                        f"topic {self.topics[ti]!r} within count depth {self.rarity_depth}"
                     )
-                terms = rarity[cols]
-                m = cols.size
-                if spec.kind == "p_rareness":
-                    scores[row, ti] = (m + alpha * terms.sum()) / cfg.cutoff
-                elif spec.kind == "p_mixture":
-                    scores[row, ti] = ((1.0 - alpha) * m + alpha * terms.sum()) / cfg.cutoff
-                elif spec.kind == "p":
-                    scores[row, ti] = m / cfg.cutoff
-                else:
-                    weights = np.cumsum(1.0 + alpha * terms)
-                    scores[row, ti] = (weights / self.positions[(si, ti)]).sum() / self.n_rel[ti]
-        return scores.mean(axis=1)
+                variant = spec.config.rarity_variant
+                rarity = rarity_of_counts(counts, len(subset), variant)[columns]
+            scores[:, ti] = score_hits(
+                spec, table.ranks[subset], hit, rarity, self.n_rel[ti]
+            )
+        return topic_means(scores)
 
 
 def subset_experiment(
@@ -533,6 +489,4 @@ def subset_experiment(
             taus.append(tau)
             resamples += attempts
     mean_tau = sum(taus) / config.trials
-    return SubsetResult(
-        scorer.matrix.metric_descriptor, n, float(mean_tau), config.trials, resamples
-    )
+    return SubsetResult(spec.descriptor, n, float(mean_tau), config.trials, resamples)

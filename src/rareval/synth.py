@@ -286,34 +286,34 @@ def rank_trajectory(
     base_index = build_rarity_index(base, rarity_depth)
     base_n_rel = {t: base.qrels.n_relevant(t) for t in base.qrels.topics}
     kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
-
-    results: list[TrajectoryResult] = []
-    for alpha in alphas:
-        spec = MetricSpec(kind_key, dataclasses.replace(config, alpha=float(alpha)))
-        ranks: list[tuple[int, float]] = []
-        d_star: int | None = None
-        for d in range(1, d_max + 1):
-            if kind == "rare":
-                run, qrels = make_rare_system(
-                    base, topic, d, tag=tag, pad=pad, pad_to=max(d, config.cutoff)
-                )
-                extended = base.with_run(run, qrels)
-            else:
-                run = make_common_system(
-                    base, topic, d, index=base_index, tag=tag,
-                    pad=pad, pad_to=max(d, config.cutoff),
-                )
-                extended = base.with_run(run)
-            matrix = evaluate_campaign(
-                extended,
-                [spec],
-                index=extend_index(base_index, run),
-                n_relevant_override=base_n_rel if freeze_n_rel else None,
-            )[0]
-            ranking = rank_systems(mean_scores(matrix))
-            rank = ranking.rank_of(tag)
-            ranks.append((d, rank))
-            if d_star is None and rank == 1.0:
-                d_star = d
-        results.append(TrajectoryResult(float(alpha), ranks, d_star))
-    return results
+    specs = [MetricSpec(kind_key, dataclasses.replace(config, alpha=float(a))) for a in alphas]
+    if not specs:
+        return []
+    ranks: list[list[tuple[int, float]]] = [[] for _ in specs]
+    # D outer, alpha inner: each probe is built, and the campaign scored, once per D.
+    for d in range(1, d_max + 1):
+        if kind == "rare":
+            run, qrels = make_rare_system(
+                base, topic, d, tag=tag, pad=pad, pad_to=max(d, config.cutoff)
+            )
+            extended = base.with_run(run, qrels)
+        else:
+            run = make_common_system(
+                base, topic, d, index=base_index, tag=tag,
+                pad=pad, pad_to=max(d, config.cutoff),
+            )
+            extended = base.with_run(run)
+        matrices = evaluate_campaign(
+            extended,
+            specs,
+            index=extend_index(base_index, run),
+            n_relevant_override=base_n_rel if freeze_n_rel else None,
+        )
+        for per_alpha, matrix in zip(ranks, matrices):
+            per_alpha.append((d, rank_systems(mean_scores(matrix)).rank_of(tag)))
+    return [
+        TrajectoryResult(
+            float(alpha), per_alpha, next((d for d, r in per_alpha if r == 1.0), None)
+        )
+        for alpha, per_alpha in zip(alphas, ranks)
+    ]

@@ -385,6 +385,33 @@ class TestNonFiniteAlpha:
         assert f"alpha must be a finite number, got {value}" in err
 
 
+class TestRarityDepthFlag:
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--metric", "P@3"],
+            ["compare"],
+            ["discpower"],
+            ["stability", "--trials", "5"],
+            ["subset", "--metric", "P@3", "--sizes", "2", "--trials", "5"],
+            ["trajectory", "--kind", "rare", "--topic", "t1", "--d-max", "2"],
+            ["report"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_nonpositive_depth_exits_2_naming_the_flag(self, toy_files, capsys, argv, depth):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            [*argv, "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+             "--rarity-depth", depth],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--rarity-depth must be >= 1, got {depth}" in err
+
+
 class TestImportFootprint:
     REPORT = (
         "import sys\n"

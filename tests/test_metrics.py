@@ -12,7 +12,9 @@ from rareval import (
     SynthSpec,
     ap_rareness,
     average_precision,
+    UndefinedRarityError,
     build_rarity_index,
+    evaluate_campaign,
     generate_campaign,
     p_at_k_mixture,
     p_at_k_rareness,
@@ -332,6 +334,79 @@ class TestOracleEquivalence:
                                     ),
                                     abs=1e-12,
                                 )
+
+
+def oracle_matrix(campaign, spec, rarity_depth, ap_depth):
+    """Brute-force systems x topics values for ``spec``, and whether a scored
+    relevant document has no retrieval within ``rarity_depth``."""
+    runs_docs, relevant_by_topic = oracles.campaign_to_plain(campaign)
+    cfg = spec.config
+    k, alpha, variant = cfg.cutoff, cfg.alpha, cfg.rarity_variant
+    values = np.zeros((campaign.n_systems, len(campaign.judged_topics)))
+    undefined = False
+    for si, system in enumerate(campaign.system_ids):
+        for ti, topic in enumerate(campaign.judged_topics):
+            relevant = relevant_by_topic[topic]
+            n_rel = len(relevant)
+            docs = runs_docs[system].get(topic, [])
+            if spec.is_ap_family and n_rel == 0:
+                continue
+            bound = k if ap_depth == "cutoff" or not spec.is_ap_family else len(docs)
+            if spec.needs_rarity and any(
+                oracles.naive_count_retrievers(runs_docs, topic, d, rarity_depth) == 0
+                for d in docs[:bound] if d in relevant
+            ):
+                undefined = True
+            args = (runs_docs, system, topic, relevant, bound, alpha, variant)
+            values[si, ti] = {
+                "p": lambda: oracles.naive_p_at_k(docs, relevant, k),
+                "ap": lambda: oracles.naive_ap(docs, relevant, bound, n_rel),
+                "p_rareness": lambda: oracles.naive_p_at_k_rareness(*args, rarity_depth),
+                "p_mixture": lambda: oracles.naive_p_at_k_mixture(*args, rarity_depth),
+                "ap_rareness": lambda: oracles.naive_ap_rareness(
+                    *args, n_rel, rarity_depth
+                ),
+            }[spec.kind]()
+    return values, undefined
+
+
+class TestEvaluateCampaignOracle:
+    NAMES = (
+        "P@4",
+        "AP",
+        "P@4_rareness(alpha=0.5,rarity={v})",
+        "AP_rareness(alpha=1,rarity={v})",
+        "P@4_mixture(alpha=0.5,rarity={v})",
+    )
+
+    @pytest.mark.parametrize("ap_depth", ["cutoff", None])
+    @pytest.mark.parametrize("rarity_depth", [None, 2])
+    def test_matrices_match_bruteforce(self, rarity_depth, ap_depth):
+        undefined_seen = 0
+        for campaign in random_campaigns(range(200, 212)):
+            for variant in ("eq2", "revised"):
+                for name in self.NAMES:
+                    spec = MetricSpec.parse(name.format(v=variant), default_cutoff=4)
+                    expected, undefined = oracle_matrix(campaign, spec, rarity_depth, ap_depth)
+                    kwargs = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
+                    if undefined:
+                        undefined_seen += 1
+                        with pytest.raises(UndefinedRarityError):
+                            evaluate_campaign(campaign, [spec], **kwargs)
+                        continue
+                    (matrix,) = evaluate_campaign(campaign, [spec], **kwargs)
+                    np.testing.assert_allclose(matrix.values, expected, rtol=0, atol=1e-12)
+        # A shallow count depth must exercise the undefined case, a full one never.
+        assert (undefined_seen > 0) == (rarity_depth is not None)
+
+    def test_alpha_zero_ap_rareness_is_ap_at_full_depth(self):
+        for campaign in random_campaigns(range(212, 218)):
+            base, zero = evaluate_campaign(
+                campaign,
+                [MetricSpec.parse(n, default_cutoff=2) for n in ("AP", "AP_rareness(alpha=0)")],
+                ap_depth=None,
+            )
+            assert np.array_equal(base.values, zero.values)
 
 
 class TestMetricSpecParsing:

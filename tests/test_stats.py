@@ -24,7 +24,7 @@ from rareval import (
     studentized_range_quantile,
     subset_experiment,
 )
-from rareval.errors import ConfigError, DataError
+from rareval.errors import ConfigError, DataError, UndefinedRarityError
 from rareval.rng import substream
 from rareval.stats import _STREAM_STABILITY, _SubsetScorer, _tau_b, hsd_critical_difference
 
@@ -395,9 +395,7 @@ class TestSubsetExperiment:
                     hetero_campaign.qrels,
                 )
                 slow = mean_scores(evaluate_campaign(subcampaign, [spec])[0])
-                assert np.allclose(
-                    fast, [slow[ids[i]] for i in subset], atol=1e-12, rtol=0
-                )
+                assert fast.tolist() == [slow[ids[i]] for i in subset]
 
     def test_fast_path_matches_plain_evaluation_at_restricted_depth(self, hetero_campaign):
         ids = hetero_campaign.system_ids
@@ -414,7 +412,31 @@ class TestSubsetExperiment:
             slow = mean_scores(
                 evaluate_campaign(subcampaign, [spec], rarity_depth=20)[0]
             )
-            assert np.allclose(fast, [slow[ids[i]] for i in subset], atol=1e-12, rtol=0)
+            assert fast.tolist() == [slow[ids[i]] for i in subset]
+
+    @pytest.mark.parametrize("name", ["P@20", "AP"])
+    def test_base_metrics_ignore_a_shallow_rarity_depth(self, hetero_campaign, name):
+        spec = MetricSpec.parse(name, default_cutoff=20)
+        config = SubsetExperimentConfig(4, trials=30, seed=6)
+        shallow = subset_experiment(hetero_campaign, spec, config, rarity_depth=5)
+        assert shallow == subset_experiment(hetero_campaign, spec, config, rarity_depth=None)
+
+    def test_weighted_metrics_at_a_shallow_rarity_depth_name_the_document(
+        self, hetero_campaign
+    ):
+        spec = MetricSpec.parse("P@20_rareness(alpha=1)")
+        config = SubsetExperimentConfig(4, trials=5, seed=6)
+        with pytest.raises(UndefinedRarityError, match="no sampled system retrieved '.*"
+                           "within count depth 5"):
+            subset_experiment(hetero_campaign, spec, config, rarity_depth=5)
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_nonpositive_rarity_depth_rejected(self, hetero_campaign, depth):
+        with pytest.raises(DataError, match=f"count depth must be >= 1 or None, got {depth}"):
+            _SubsetScorer(
+                hetero_campaign, MetricSpec.parse("P@20"), rarity_depth=depth,
+                ap_depth="cutoff",
+            )
 
     def test_seeded_determinism_and_thread_invariance(self, hetero_campaign):
         spec = MetricSpec.parse("AP_rareness(alpha=1)")

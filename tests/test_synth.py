@@ -14,6 +14,7 @@ from rareval import (
     make_common_system,
     make_rare_system,
     mean_scores,
+    rank_systems,
     rank_trajectory,
     rareness,
 )
@@ -258,3 +259,55 @@ class TestRankTrajectory:
             traj_campaign, "rare", topic, [1.0], 4, config
         )[0]
         assert frozen.ranks == plain.ranks
+
+
+def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *, pad,
+                             multi_topic, rarity_depth):
+    """Ranks from a fresh probe, campaign, index and evaluation per (alpha, D)."""
+    base = campaign if multi_topic else campaign.restricted_to_topics([topic])
+    base_index = build_rarity_index(base, rarity_depth)
+    out = []
+    for alpha in alphas:
+        spec = MetricSpec("p_rareness", MetricConfig(config.cutoff, alpha))
+        ranks = []
+        for d in range(1, d_max + 1):
+            pad_to = max(d, config.cutoff)
+            if kind == "rare":
+                run, qrels = make_rare_system(base, topic, d, pad=pad, pad_to=pad_to)
+                extended = base.with_run(run, qrels)
+            else:
+                run = make_common_system(base, topic, d, index=base_index, pad=pad,
+                                         pad_to=pad_to)
+                extended = base.with_run(run)
+            matrix = evaluate_campaign(
+                extended, [spec], index=extend_index(base_index, run)
+            )[0]
+            ranks.append((d, rank_systems(mean_scores(matrix)).rank_of(run.system_id)))
+        out.append(ranks)
+    return out
+
+
+class TestTrajectoryMatchesRebuild:
+    @pytest.mark.parametrize("rarity_depth", [None, 12])
+    @pytest.mark.parametrize("multi_topic", [False, True])
+    @pytest.mark.parametrize("pad", ["none", "pool-nonrel"])
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_ranks_equal_a_rebuild_per_alpha_and_d(
+        self, traj_campaign, kind, pad, multi_topic, rarity_depth
+    ):
+        # The cutoff stays within the count depth, so every scored hit has a rarity.
+        topic = traj_campaign.judged_topics[0]
+        config = MetricConfig(cutoff=12)
+        alphas = [0.0, 0.5, 1.0, 3.0]
+        options = dict(pad=pad, multi_topic=multi_topic, rarity_depth=rarity_depth)
+        with pytest.warns(UserWarning, match="recommended"):
+            results = rank_trajectory(traj_campaign, kind, topic, alphas, 8, config, **options)
+        with pytest.warns(UserWarning, match="recommended"):
+            expected = rebuilt_trajectory_ranks(
+                traj_campaign, kind, topic, alphas, 8, config, **options
+            )
+        assert [r.alpha for r in results] == alphas
+        assert [r.ranks for r in results] == expected
+        assert [r.d_star for r in results] == [
+            next((d for d, rank in ranks if rank == 1.0), None) for ranks in expected
+        ]

@@ -14,9 +14,9 @@ One executable, eight subcommands:
 Results go to stdout as TSV (floats shown with 4 decimals) or, with
 ``--json``, as JSON carrying the same values at full precision. Diagnostics
 go to stderr. Exit codes: 0 success, 1 data/format errors, 2 usage errors.
-Seeds default to a fixed constant so flag-free runs are reproducible;
-``--threads`` (or ``RAREVAL_THREADS``) caps parallelism without changing any
-output, and is itself capped at the CPU count.
+Seeds default to a fixed constant so flag-free runs are reproducible.
+Trials run serially: ``--threads`` (or ``RAREVAL_THREADS``) is accepted and
+validated but changes nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -437,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ap-depth", choices=["cutoff", "full"], default="cutoff")
     common.add_argument("--json", action="store_true")
     common.add_argument("--threads", type=int, default=None,
-                        help="parallelism cap (or RAREVAL_THREADS), at most the CPU "
-                        "count and the trial count; output-invariant")
+                        help="accepted (or RAREVAL_THREADS) and validated, but "
+                        "changes nothing: trials run serially")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("eval", parents=[inputs, common],
@@ -497,9 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic", required=True)
     p.add_argument("--alphas", default="0,0.5,1")
     p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--pad", choices=["none", "pool-nonrel"], default="pool-nonrel")
+    p.add_argument("--pad", choices=["none", "pool-nonrel"], default="pool-nonrel",
+                   help="pad the probe (built once, at --d-max) with non-relevant "
+                   "pooled documents; cannot change a P@k rank")
     p.add_argument("--freeze-n-rel", action="store_true",
-                   help="keep AP denominators at their pre-insertion values")
+                   help="keep AP denominators at their pre-insertion values; cannot "
+                   "change a P@k rank")
     p.add_argument("--multi-topic", action="store_true")
     p.set_defaults(func=_cmd_trajectory)
 
@@ -521,7 +525,11 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         if getattr(args, "rarity_depth", None) is not None and args.rarity_depth < 1:
             raise ConfigError(f"--rarity-depth must be >= 1, got {args.rarity_depth}")
-        return args.func(args)
+        with warnings.catch_warnings():  # each warning as one line, no source echo
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr
+            )
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

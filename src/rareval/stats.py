@@ -12,7 +12,11 @@ Four procedures:
   recomputed over just those N, and correlate against their ordering in the
   full-campaign ranking. Its scores come from the campaign's hit table and
   the one metric formula, ``metrics.score_hits``, which sums in rank order,
-  so they equal ``evaluate_campaign`` on the subcampaign bit for bit.
+  so they equal ``evaluate_campaign`` on the subcampaign bit for bit. The
+  probe trajectory (``synth.rank_trajectory``) scores through the same
+  subset scorer: each step is the base systems plus one probe row.
+
+Trials run serially; the ``threads`` keyword is accepted and changes nothing.
 
 The HSD critical value comes from the studentized-range distribution; its
 quantile is found by root-finding on a CDF evaluated with adaptive
@@ -28,7 +32,6 @@ integer pair counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -299,22 +302,13 @@ def stability(
     n_topics = cols.size
     n_systems = len(systems)
 
-    def run_trial(trial: int) -> np.ndarray:
+    wins = np.zeros((n_systems, n_systems))
+    for trial in range(config.trials):
         rng = substream(config.seed, _STREAM_STABILITY, trial)
         idx = rng.choice(n_topics, size=config.sample_size, replace=False)
         means = values[:, idx].mean(axis=1)
         diff = means[:, None] - means[None, :]
-        return (diff > 0).astype(float) + 0.5 * (diff == 0)
-
-    wins = np.zeros((n_systems, n_systems))
-    workers = min(threads, config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for contribution in pool.map(run_trial, range(config.trials)):
-                wins += contribution
-    else:
-        for trial in range(config.trials):
-            wins += run_trial(trial)
+        wins += (diff > 0).astype(float) + 0.5 * (diff == 0)
 
     full_diff = values.mean(axis=1)[:, None] - values.mean(axis=1)[None, :]
     per_pair: dict[tuple[str, str], float] = {}
@@ -398,9 +392,6 @@ class _SubsetScorer:
                     if doc in doc_col:
                         grid[si, doc_col[doc]] = True
             self.incidence.append(grid)
-        # The full-campaign reference ranking uses this same code path, so a
-        # full-size subset reproduces it bit-for-bit (tau is then exactly 1).
-        self.full_means = self.subset_means(np.arange(len(runs)))
 
     def subset_means(self, subset: np.ndarray) -> np.ndarray:
         """Per-system mean scores when only ``subset`` participates."""
@@ -453,7 +444,9 @@ def subset_experiment(
     scorer = _SubsetScorer(
         campaign, spec, rarity_depth=rarity_depth, ap_depth=ap_depth
     )
-    full_means = scorer.full_means
+    # The full-campaign reference ranking uses this same code path, so a
+    # full-size subset reproduces it bit-for-bit (tau is then exactly 1).
+    full_means = scorer.subset_means(np.arange(n_systems))
     n = config.subset_size
 
     def run_trial(trial: int) -> tuple[float, int]:
@@ -475,18 +468,7 @@ def subset_experiment(
             "the campaign is too degenerate for this experiment"
         )
 
-    taus: list[float] = []
-    resamples = 0
-    workers = min(threads, config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for tau, attempts in pool.map(run_trial, range(config.trials)):
-                taus.append(tau)
-                resamples += attempts
-    else:
-        for trial in range(config.trials):
-            tau, attempts = run_trial(trial)
-            taus.append(tau)
-            resamples += attempts
-    mean_tau = sum(taus) / config.trials
+    trials = [run_trial(trial) for trial in range(config.trials)]
+    mean_tau = sum(tau for tau, _ in trials) / config.trials
+    resamples = sum(attempts for _, attempts in trials)
     return SubsetResult(spec.descriptor, n, float(mean_tau), config.trials, resamples)

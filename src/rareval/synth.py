@@ -30,11 +30,12 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .campaign import evaluate_campaign, mean_scores, rank_systems
-from .errors import ConfigError, DataError
+from .campaign import rank_systems
+from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
-from .rarity import RarityIndex, build_rarity_index, extend_index
+from .rarity import RarityIndex, build_rarity_index
 from .rng import DEFAULT_SEED, substream
+from .stats import _SubsetScorer
 from .trec_io import Campaign, Qrels, Run, RunEntry
 
 _STREAM_TOPIC = 11
@@ -150,18 +151,20 @@ def _fresh_doc_ids(campaign: Campaign, tag: str, count: int) -> list[str]:
     return out
 
 
-def _padding_docs(
-    campaign: Campaign, topic: str, exclude: set[str], count: int
+def _padded(
+    campaign: Campaign, topic: str, docs: list[str], pad: PadPolicy, pad_to: int
 ) -> list[str]:
-    """Non-relevant documents other systems retrieved for the topic."""
-    if count <= 0:
-        return []
+    """``docs``, filled to ``pad_to`` with non-relevant documents other systems
+    retrieved for the topic if ``pad`` is ``"pool-nonrel"``."""
+    if pad not in ("none", "pool-nonrel"):
+        raise ConfigError(f"unknown pad policy {pad!r} (expected 'none' or 'pool-nonrel')")
+    if pad == "none" or pad_to <= len(docs):
+        return docs
     relevant = campaign.qrels.relevant(topic)
     seen: set[str] = set()
     for run in campaign.runs:
         seen.update(e.doc for e in run.rankings.get(topic, ()))
-    candidates = sorted(seen - relevant - exclude)
-    return candidates[:count]
+    return docs + sorted(seen - relevant - set(docs))[: pad_to - len(docs)]
 
 
 def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
@@ -190,13 +193,8 @@ def make_rare_system(
     if d < 1:
         raise DataError(f"the probe system needs at least 1 document, got {d}")
     fresh = _fresh_doc_ids(campaign, tag, d)
-    docs = list(fresh)
-    if pad == "pool-nonrel":
-        docs += _padding_docs(campaign, topic, set(docs), pad_to - len(docs))
-    elif pad != "none":
-        raise ConfigError(f"unknown pad policy {pad!r} (expected 'none' or 'pool-nonrel')")
-    qrels = campaign.qrels.with_added(topic, fresh)
-    return _build_run(tag, topic, docs), qrels
+    docs = _padded(campaign, topic, fresh, pad, pad_to)
+    return _build_run(tag, topic, docs), campaign.qrels.with_added(topic, fresh)
 
 
 def make_common_system(
@@ -233,11 +231,7 @@ def make_common_system(
             f"topic {topic!r}; cannot take {d}"
         )
     docs = [doc for doc, _ in available[:d]]
-    if pad == "pool-nonrel":
-        docs += _padding_docs(campaign, topic, set(docs), pad_to - len(docs))
-    elif pad != "none":
-        raise ConfigError(f"unknown pad policy {pad!r} (expected 'none' or 'pool-nonrel')")
-    return _build_run(tag, topic, docs)
+    return _build_run(tag, topic, _padded(campaign, topic, docs, pad, pad_to))
 
 
 @dataclass
@@ -270,6 +264,12 @@ def rank_trajectory(
     default only the chosen topic is evaluated; ``multi_topic=True`` ranks
     on the mean over all judged topics instead (the probe still submits only
     the one topic). ``d_star`` is the least D reaching midrank 1.0, if any.
+
+    The probe is built once, at ``d_max``, and probe D is its first D
+    documents: step D scores the base systems plus probe D's row with the
+    subset scorer, over the same S+1 systems a rebuilt campaign would have.
+    Neither ``pad`` nor ``freeze_n_rel`` can change a rank: padding is
+    non-relevant, and P@k does not use N_R.
     """
     if kind not in ("rare", "common"):
         raise ConfigError(f"unknown probe kind {kind!r} (expected 'rare' or 'common')")
@@ -282,38 +282,33 @@ def rank_trajectory(
     if tag is None:
         tag = f"hyp-{kind}"
 
-    base = campaign if multi_topic else campaign.restricted_to_topics([topic])
-    base_index = build_rarity_index(base, rarity_depth)
-    base_n_rel = {t: base.qrels.n_relevant(t) for t in base.qrels.topics}
     kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
     specs = [MetricSpec(kind_key, dataclasses.replace(config, alpha=float(a))) for a in alphas]
     if not specs:
         return []
-    ranks: list[list[tuple[int, float]]] = [[] for _ in specs]
-    # D outer, alpha inner: each probe is built, and the campaign scored, once per D.
-    for d in range(1, d_max + 1):
-        if kind == "rare":
-            run, qrels = make_rare_system(
-                base, topic, d, tag=tag, pad=pad, pad_to=max(d, config.cutoff)
-            )
-            extended = base.with_run(run, qrels)
-        else:
-            run = make_common_system(
-                base, topic, d, index=base_index, tag=tag,
-                pad=pad, pad_to=max(d, config.cutoff),
-            )
-            extended = base.with_run(run)
-        matrices = evaluate_campaign(
-            extended,
-            specs,
-            index=extend_index(base_index, run),
-            n_relevant_override=base_n_rel if freeze_n_rel else None,
-        )
-        for per_alpha, matrix in zip(ranks, matrices):
-            per_alpha.append((d, rank_systems(mean_scores(matrix)).rank_of(tag)))
-    return [
-        TrajectoryResult(
-            float(alpha), per_alpha, next((d for d, r in per_alpha if r == 1.0), None)
-        )
-        for alpha, per_alpha in zip(alphas, ranks)
-    ]
+    base = campaign if multi_topic else campaign.restricted_to_topics([topic])
+    if tag in base.system_ids:
+        raise FormatError(f"duplicate system id {tag!r}")
+    # Padding is left out: it is non-relevant, so no hit table or count sees it.
+    if kind == "rare":
+        probe, qrels = make_rare_system(base, topic, d_max, tag=tag, pad=pad)
+    else:
+        index = build_rarity_index(base, rarity_depth)
+        probe = make_common_system(base, topic, d_max, index=index, tag=tag, pad=pad)
+        qrels = base.qrels
+    docs = probe.docs(topic)
+    probes = [_build_run(f"{tag} D={d}", topic, docs[:d]) for d in range(1, d_max + 1)]
+    stacked = Campaign(base.runs + probes, qrels)
+    row = {system: i for i, system in enumerate(stacked.system_ids)}
+    base_rows = [row[system] for system in base.system_ids]
+    results = []
+    for spec in specs:
+        scorer = _SubsetScorer(stacked, spec, rarity_depth=rarity_depth, ap_depth="cutoff")
+        ranks = []
+        for d, run in enumerate(probes, 1):
+            means = scorer.subset_means(np.array(base_rows + [row[run.system_id]]))
+            by_system = dict(zip(base.system_ids + (tag,), means.tolist()))
+            ranks.append((d, rank_systems(by_system).rank_of(tag)))
+        d_star = next((d for d, r in ranks if r == 1.0), None)
+        results.append(TrajectoryResult(spec.config.alpha, ranks, d_star))
+    return results

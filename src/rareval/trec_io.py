@@ -10,10 +10,12 @@ rank column is ignored unless ``order="rank-field"`` is requested).
 
 from __future__ import annotations
 
+import io
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import ConfigError, DataError, FormatError, ParseError
 
@@ -181,13 +183,28 @@ class Campaign:
         return Campaign(self.runs + [run], qrels if qrels is not None else self.qrels)
 
 
-def _reader(source) -> tuple[Iterable[str], str, bool]:
-    """Lines, a display name for error context, and whether we own the handle."""
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        return source, str(name), False
-    handle = open(os.fspath(source), "r", encoding="utf-8", errors="replace")
-    return handle, os.fspath(source), True
+@contextmanager
+def _lines(source) -> Iterator[tuple[Iterable[str], str]]:
+    """A source's text lines and display name; bytes not UTF-8 become surrogate escapes."""
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8", errors="surrogateescape") as handle:
+            yield handle, os.fspath(source)
+        return
+    name = str(getattr(source, "name", "<stream>"))
+    if getattr(source, "buffer", None) is None:
+        yield source, name
+    else:  # a byte-backed stream such as sys.stdin is decoded as files are
+        text = io.TextIOWrapper(source.buffer, encoding="utf-8", errors="surrogateescape")
+        try:
+            yield text, name
+        finally:
+            text.detach()  # leaves the caller's stream open
+
+
+def _check_utf8(raw: str, name: str, lineno: int) -> None:
+    """ParseError at ``name:lineno`` for a line holding bytes that were not UTF-8."""
+    if any("\udc80" <= ch <= "\udcff" for ch in raw):
+        raise ParseError(f"not valid UTF-8 text: {raw.strip()!r}", source=name, line=lineno)
 
 
 def _canonical(entries: list[RunEntry], order: OrderPolicy) -> tuple[RunEntry, ...]:
@@ -212,12 +229,13 @@ def parse_run_file(
     """
     if dedup not in ("reject", "first"):
         raise ConfigError(f"unknown dedup policy {dedup!r} (expected 'reject' or 'first')")
-    lines, name, owned = _reader(source)
     tag: str | None = None
     per_topic: dict[str, list[RunEntry]] = {}
     seen: set[tuple[str, str]] = set()
-    try:
+    with _lines(source) as (lines, name):
         for lineno, raw in enumerate(lines, start=1):
+            if not raw.isascii():
+                _check_utf8(raw, name, lineno)
             stripped = raw.strip()
             if not stripped:
                 continue
@@ -254,9 +272,6 @@ def parse_run_file(
                 continue
             seen.add(key)
             per_topic.setdefault(topic, []).append(RunEntry(doc, score, rank_field))
-    finally:
-        if owned:
-            lines.close()
     if tag is None:
         raise FormatError(f"{name}: empty run file")
     return Run(tag, {t: _canonical(es, order) for t, es in per_topic.items()})
@@ -268,10 +283,11 @@ def parse_qrels(source, relevance_threshold: int = 1) -> Qrels:
     Exactly duplicated lines are tolerated; a (topic, doc) pair judged at two
     different grades is an error, as is any negative grade.
     """
-    lines, name, owned = _reader(source)
     judgments: dict[str, dict[str, int]] = {}
-    try:
+    with _lines(source) as (lines, name):
         for lineno, raw in enumerate(lines, start=1):
+            if not raw.isascii():
+                _check_utf8(raw, name, lineno)
             stripped = raw.strip()
             if not stripped:
                 continue
@@ -297,9 +313,6 @@ def parse_qrels(source, relevance_threshold: int = 1) -> Qrels:
                     f"{existing} vs {grade}"
                 )
             by_doc[doc] = grade
-    finally:
-        if owned:
-            lines.close()
     return Qrels(judgments, relevance_threshold)
 
 

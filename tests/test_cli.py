@@ -2,18 +2,10 @@ import io
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from rareval import (
-    MetricSpec,
-    StabilityConfig,
-    SubsetExperimentConfig,
-    load_campaign,
-    stability,
-    subset_experiment,
-)
+from rareval import load_campaign
 from rareval.cli import _threads, build_parser, dispatch
 
 TOY_RUNS = {
@@ -201,6 +193,36 @@ class TestReport:
         assert out.splitlines()[0] == "t1\td3\t1\t1\t1.0000"
 
 
+class TestWarnings:
+    """Library warnings reach stderr as one line each; stdout is unchanged."""
+
+    def test_eval_alpha_above_one(self, toy_files, capsys):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            ["eval", "--runs", *runs, "--qrels", qrels,
+             "--metric", "P@10_rareness(alpha=2)"],
+            capsys,
+        )
+        assert code == 0
+        assert err == "warning: alpha=2.0 > 1 exceeds the recommended [0, 1] range\n"
+        assert out.splitlines()[0] == "P@10_rareness(alpha=2,rarity=eq2)\tA\tALL\t0.3000"
+
+    def test_report_revised_rarity_on_one_system(self, tmp_path, capsys):
+        run = tmp_path / "solo.run"
+        run.write_text("t1 Q0 d1 1 2.0 solo\nt1 Q0 d2 2 1.0 solo\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("t1 0 d1 1\n")
+        code, out, err = run_cli(
+            ["report", "--runs", str(run), "--qrels", str(qrels), "--rarity", "revised"],
+            capsys,
+        )
+        assert code == 0
+        assert err == (
+            "warning: revised rarity is meaningless with a single system; returning 1.0\n"
+        )
+        assert out == "t1\td1\t1\t1\t1.0000\n"
+
+
 class TestSynthCommand:
     def test_written_files_load_back_identically(self, tmp_path, capsys):
         out_dir = tmp_path / "campaign"
@@ -264,33 +286,6 @@ class TestThreadCap:
         assert _threads(self._args()) == 2
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert _threads(self._args()) == 1
-
-    def test_pool_never_exceeds_the_trial_count(self, toy_files, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Records the requested pool size and runs trials inline."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("rareval.stats.ThreadPoolExecutor", RecordingPool)
-        runs, qrels = toy_files
-        campaign = load_campaign([Path(p) for p in runs], Path(qrels))
-        spec = MetricSpec.parse("P@3_rareness")
-        stability(campaign, spec, StabilityConfig(1, trials=3), threads=1000)
-        subset_experiment(campaign, spec, SubsetExperimentConfig(2, trials=5), threads=1000)
-        stability(campaign, spec, StabilityConfig(1, trials=1), threads=1000)
-        assert sizes == [3, 5]
 
 
 class TestSubsetCommand:

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareval import (
     Campaign,
@@ -18,7 +22,7 @@ from rareval import (
     rank_trajectory,
     rareness,
 )
-from rareval.errors import ConfigError, DataError
+from rareval.errors import ConfigError, DataError, FormatError
 
 from conftest import make_run
 
@@ -266,9 +270,10 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *, pa
     """Ranks from a fresh probe, campaign, index and evaluation per (alpha, D)."""
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
     base_index = build_rarity_index(base, rarity_depth)
+    kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
     out = []
     for alpha in alphas:
-        spec = MetricSpec("p_rareness", MetricConfig(config.cutoff, alpha))
+        spec = MetricSpec(kind_key, dataclasses.replace(config, alpha=alpha))
         ranks = []
         for d in range(1, d_max + 1):
             pad_to = max(d, config.cutoff)
@@ -311,3 +316,79 @@ class TestTrajectoryMatchesRebuild:
         assert [r.d_star for r in results] == [
             next((d for d, rank in ranks if rank == 1.0), None) for ranks in expected
         ]
+
+
+POOL = [f"d{i}" for i in range(8)]
+
+
+@st.composite
+def tiny_campaigns(draw):
+    """1-4 systems over 1-3 judged topics: rankings of 0-6 pool docs (a system
+    may skip a topic), graded 0-2 judgments, zero-relevant topics allowed."""
+    topics = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+    ranking = st.lists(st.sampled_from(POOL), max_size=6, unique=True)
+    runs = [
+        make_run(f"s{i}", {t: draw(ranking) for t in topics if draw(st.integers(0, 3))})
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    grades = st.dictionaries(st.sampled_from(POOL), st.sampled_from([0, 1, 1, 2]), max_size=8)
+    return Campaign(runs, Qrels({t: draw(grades) for t in topics}))
+
+
+class TestTrajectoryProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        kind=st.sampled_from(["rare", "common"]),
+        formulation=st.sampled_from(["additive", "mixture"]),
+        variant=st.sampled_from(["eq2", "revised"]),
+        pad=st.sampled_from(["none", "pool-nonrel"]),
+        multi_topic=st.booleans(),
+        rarity_depth=st.none() | st.integers(1, 4),
+        cutoff=st.integers(1, 6),
+        d_max=st.integers(1, 3),
+        alphas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3),
+    )
+    def test_equals_a_rebuild_per_alpha_and_d(
+        self, campaign, kind, formulation, variant, pad, multi_topic, rarity_depth,
+        cutoff, d_max, alphas,
+    ):
+        config = MetricConfig(cutoff, 0.0, variant, formulation)
+        topic = campaign.judged_topics[0]
+        options = dict(pad=pad, multi_topic=multi_topic, rarity_depth=rarity_depth)
+        try:
+            expected = rebuilt_trajectory_ranks(
+                campaign, kind, topic, alphas, d_max, config, **options
+            )
+        except DataError:
+            # Both fail, though not necessarily with the same message: the
+            # trajectory checks a common probe's d_max before it scores.
+            with pytest.raises(DataError):
+                rank_trajectory(campaign, kind, topic, alphas, d_max, config, **options)
+            return
+        results = rank_trajectory(campaign, kind, topic, alphas, d_max, config, **options)
+        assert [r.ranks for r in results] == expected
+        assert [r.d_star for r in results] == [
+            next((d for d, rank in ranks if rank == 1.0), None) for ranks in expected
+        ]
+
+    def test_unknown_pad_policy_rejected(self, traj_campaign):
+        topic = traj_campaign.judged_topics[0]
+        with pytest.raises(ConfigError, match="pad policy 'bogus'"):
+            rank_trajectory(traj_campaign, "rare", topic, [0.0], 3, pad="bogus")
+
+    def test_base_system_named_like_the_probe_rejected(self, toy4):
+        campaign = Campaign(toy4.runs + [make_run("hyp-rare", {"t1": ["d2"]})], toy4.qrels)
+        with pytest.raises(FormatError, match="duplicate system id 'hyp-rare'"):
+            rank_trajectory(campaign, "rare", "t1", [0.0], 3)
+
+    def test_known_docs_are_scanned_once(self, traj_campaign, monkeypatch):
+        import rareval.synth
+
+        calls = []
+        scan = rareval.synth._all_known_docs
+        monkeypatch.setattr(
+            rareval.synth, "_all_known_docs", lambda c: calls.append(1) or scan(c)
+        )
+        rank_trajectory(traj_campaign, "rare", traj_campaign.judged_topics[0], [0.0, 1.0], 6)
+        assert len(calls) == 1

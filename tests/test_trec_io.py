@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -129,6 +130,34 @@ class TestParseQrels:
         qrels = qrels_of("t1 0 d1 1\n")
         assert not qrels.is_relevant("t1", "dX")
         assert qrels.grade("t1", "dX") == 0
+
+
+class TestUndecodableInput:
+    # Line 1 is valid non-ASCII UTF-8; line 2 holds a byte that is not UTF-8.
+    # Decoded with replacement, d\xff and d\xfe would both become 'd\ufffd'.
+    @pytest.mark.parametrize(
+        "parse, data",
+        [
+            (parse_run_file, b"t1 Q0 d\xc3\xa9 1 3.0 A\nt1 Q0 d\xff 2 2.0 A\nt1 Q0 d\xfe 3 1.0 A\n"),
+            (parse_qrels, b"t1 0 d\xc3\xa9 1\nt1 0 d\xff 1\nt1 0 d\xfe 1\n"),
+        ],
+        ids=["run", "qrels"],
+    )
+    @pytest.mark.parametrize("via", ["path", "byte-backed stream"])
+    def test_a_line_that_is_not_utf8_is_a_located_parse_error(
+        self, tmp_path, parse, data, via
+    ):
+        if via == "path":
+            source = tmp_path / "input.txt"
+            source.write_bytes(data)
+            where = f"{source}:2"
+        else:  # as sys.stdin is: text over a byte buffer
+            source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            where = "<stream>:2"
+        with pytest.raises(ParseError, match=f"^{re.escape(where)}: not valid UTF-8"):
+            parse(source)
+        if via != "path":
+            assert not source.closed  # the caller's stream stays usable
 
 
 class TestLoadCampaign:

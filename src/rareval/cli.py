@@ -13,7 +13,8 @@ One executable, eight subcommands:
 
 Results go to stdout as TSV (floats shown with 4 decimals) or, with
 ``--json``, as JSON carrying the same values at full precision. Diagnostics
-go to stderr. Exit codes: 0 success, 1 data/format errors, 2 usage errors.
+go to stderr; a warning is one ``warning:`` line (one ``error:`` line and exit
+1 under ``-W error``). Exit codes: 0 success, 1 data/format errors, 2 usage errors.
 Seeds default to a fixed constant so flag-free runs are reproducible.
 Trials run serially: ``--threads`` (or ``RAREVAL_THREADS``) is accepted and
 validated but changes nothing.
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .campaign import evaluate_campaign, mean_scores, rank_systems
-from .errors import ConfigError, DataError, FormatError, ParseError, RarevalError
+from .errors import ConfigError, DataError, RarevalError
 from .metrics import DEFAULT_CUTOFF, MetricSpec
 from .rarity import build_rarity_index, rarity_report
 from .rng import DEFAULT_SEED
@@ -142,23 +143,25 @@ def _parse_metric(args, text: str) -> MetricSpec:
     )
 
 
+def _tokens(text: str, flag: str, parse, expected: str) -> list:
+    """The comma-separated values of ``flag``; an empty or bad token is a ConfigError."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(parse(token))
+        except ValueError:
+            raise ConfigError(
+                f"bad {flag} token {token!r} in {text!r}; expected comma-separated {expected}"
+            )
+    return values
+
+
 def _alpha_grid(text: str) -> list[float]:
-    try:
-        return [float(a) for a in text.split(",") if a.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"bad alpha grid {text!r}; expected comma-separated numbers")
+    return _tokens(text, "--alphas", float, "numbers")
 
 
 def _sizes(text: str) -> list[int]:
-    sizes = set()
-    for token in text.split(","):
-        try:
-            sizes.add(int(token))
-        except ValueError:
-            raise ConfigError(
-                f"bad --sizes token {token!r} in {text!r}; expected comma-separated integers"
-            )
-    return sorted(sizes)
+    return sorted(set(_tokens(text, "--sizes", int, "integers")))
 
 
 def _ap_depth(args):
@@ -533,10 +536,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, FormatError, DataError, RarevalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RarevalError, OSError, Warning) as exc:  # a Warning is raised under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .campaign import rank_systems
+from .campaign import _midranks
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
 from .rarity import RarityIndex, build_rarity_index
@@ -266,8 +266,9 @@ def rank_trajectory(
     the one topic). ``d_star`` is the least D reaching midrank 1.0, if any.
 
     The probe is built once, at ``d_max``, and probe D is its first D
-    documents: step D scores the base systems plus probe D's row with the
-    subset scorer, over the same S+1 systems a rebuilt campaign would have.
+    documents: step D scores the base systems plus probe D's row with one
+    subset scorer shared by every alpha, over the same S+1 systems a rebuilt
+    campaign would have.
     Neither ``pad`` nor ``freeze_n_rel`` can change a rank: padding is
     non-relevant, and P@k does not use N_R.
     """
@@ -301,14 +302,13 @@ def rank_trajectory(
     stacked = Campaign(base.runs + probes, qrels)
     row = {system: i for i, system in enumerate(stacked.system_ids)}
     base_rows = [row[system] for system in base.system_ids]
+    scorer = _SubsetScorer(stacked, specs[0], rarity_depth=rarity_depth, ap_depth="cutoff")
     results = []
     for spec in specs:
-        scorer = _SubsetScorer(stacked, spec, rarity_depth=rarity_depth, ap_depth="cutoff")
         ranks = []
         for d, run in enumerate(probes, 1):
-            means = scorer.subset_means(np.array(base_rows + [row[run.system_id]]))
-            by_system = dict(zip(base.system_ids + (tag,), means.tolist()))
-            ranks.append((d, rank_systems(by_system).rank_of(tag)))
+            means = scorer.subset_means(np.array(base_rows + [row[run.system_id]]), spec)
+            ranks.append((d, float(_midranks(-means)[-1])))  # the probe is the last row
         d_star = next((d for d, r in ranks if r == 1.0), None)
         results.append(TrajectoryResult(spec.config.alpha, ranks, d_star))
     return results

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -170,6 +171,24 @@ class TestCompare:
         assert all(r[2] == "1.0000" for r in zero_rows)
 
 
+class TestAlphaGrid:
+    @pytest.mark.parametrize("command", [
+        ["compare"],
+        ["trajectory", "--kind", "common", "--topic", "t1", "--d-max", "2"],
+    ], ids=["compare", "trajectory"])
+    @pytest.mark.parametrize("alphas, token", [("", "''"), (",", "''"), ("0,,1", "''")])
+    def test_empty_token_exits_2_naming_it(self, toy_files, capsys, command, alphas, token):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            [*command, "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+             "--alphas", alphas],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--alphas" in err and f"token {token}" in err
+
+
 class TestReport:
     def test_toy_report_golden(self, toy_files, capsys):
         runs, qrels = toy_files
@@ -221,6 +240,20 @@ class TestWarnings:
             "warning: revised rarity is meaningless with a single system; returning 1.0\n"
         )
         assert out == "t1\td1\t1\t1\t1.0000\n"
+
+    def test_warning_raised_as_error_is_one_line(self, toy_files, capsys):
+        # As under `python -W error` or PYTHONWARNINGS=error.
+        runs, qrels = toy_files
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["eval", "--runs", *runs, "--qrels", qrels,
+                 "--metric", "P@10_rareness(alpha=2)"],
+                capsys,
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: alpha=2.0 > 1 exceeds the recommended [0, 1] range\n"
 
 
 class TestSynthCommand:
@@ -444,6 +477,15 @@ class TestImportFootprint:
         assert code == 0
         assert len(out.strip().splitlines()) == 5 + 12
         assert "scipy.special" in loaded.split()
+
+    def test_quantile_loads_neither_integrate_nor_optimize(self):
+        code, _, loaded = self._scipy_modules(
+            "from rareval.stats import studentized_range_quantile\n"
+            "print(studentized_range_quantile(0.95, 5, 20))"
+        )
+        assert code == 0
+        assert "scipy.special" in loaded.split()
+        assert not {"scipy.integrate", "scipy.optimize"} & set(loaded.split())
 
 
 class TestConsoleEntryPoint:

@@ -157,6 +157,17 @@ class TestStudentizedRange:
                 float(scipy_sr.ppf(level, k, df)), abs=5e-4
             )
 
+    @pytest.mark.parametrize("level, k, df", [
+        (0.95, 2, 1), (0.99, 2, 2), (0.99, 300, 1), (0.95, 300, 2),
+        (0.95, 64, 315), (0.99, 300, 20000), (0.95, 10, 20000), (0.99, 5, 20),
+    ])
+    def test_corners_against_scipy(self, level, k, df):
+        # Heavy-tailed df = 1, 2 and up to 300 groups: the s-grid cut and its
+        # closed-form tail must hold there.
+        assert studentized_range_quantile(level, k, df) == pytest.approx(
+            float(scipy_sr.ppf(level, k, df)), abs=1e-6
+        )
+
     def test_cdf_monotone_and_bounded(self):
         grid = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0]
         values = [studentized_range_cdf(q, 4, 12) for q in grid]

@@ -392,3 +392,16 @@ class TestTrajectoryProperties:
         )
         rank_trajectory(traj_campaign, "rare", traj_campaign.judged_topics[0], [0.0, 1.0], 6)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_one_subset_scorer_serves_every_alpha(self, traj_campaign, monkeypatch, kind):
+        import rareval.synth
+
+        built = []
+        scorer = rareval.synth._SubsetScorer
+        monkeypatch.setattr(
+            rareval.synth, "_SubsetScorer", lambda *a, **kw: built.append(1) or scorer(*a, **kw)
+        )
+        topic = traj_campaign.judged_topics[0]
+        rank_trajectory(traj_campaign, kind, topic, [0.0, 0.5, 1.0], 4)
+        assert len(built) == 1

@@ -13,7 +13,9 @@ about documents that at least one indexed system retrieved (``S_d >= 1``).
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -51,24 +53,22 @@ def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> Ra
     """Count, per (topic, doc), how many distinct systems retrieve it."""
     if count_depth is not None and count_depth < 1:
         raise DataError(f"count depth must be >= 1 or None, got {count_depth}")
-    counts: dict[str, dict[str, int]] = {}
+    scopes: dict[str, list[tuple[str, ...]]] = {}
     for run in campaign.runs:
-        for topic, entries in run.rankings.items():
-            scope = entries if count_depth is None else entries[:count_depth]
-            by_doc = counts.setdefault(topic, {})
-            for entry in scope:
-                by_doc[entry.doc] = by_doc.get(entry.doc, 0) + 1
+        for topic, columns in run.columns.items():
+            scopes.setdefault(topic, []).append(columns.docs[:count_depth])
+    # A run lists a doc at most once per topic, so occurrences count systems.
+    counts = {topic: dict(Counter(chain.from_iterable(s))) for topic, s in scopes.items()}
     return RarityIndex(campaign.n_systems, counts, count_depth)
 
 
 def extend_index(index: RarityIndex, run: Run) -> RarityIndex:
     """The index after one more system joins; equals a full rebuild."""
     counts = {t: dict(d) for t, d in index.counts.items()}
-    for topic, entries in run.rankings.items():
-        scope = entries if index.count_depth is None else entries[: index.count_depth]
+    for topic, columns in run.columns.items():
         by_doc = counts.setdefault(topic, {})
-        for entry in scope:
-            by_doc[entry.doc] = by_doc.get(entry.doc, 0) + 1
+        for doc in columns.docs[: index.count_depth]:
+            by_doc[doc] = by_doc.get(doc, 0) + 1
     return RarityIndex(index.total_systems + 1, counts, index.count_depth)
 
 

@@ -36,7 +36,7 @@ from .metrics import MetricConfig, MetricSpec
 from .rarity import RarityIndex, build_rarity_index
 from .rng import DEFAULT_SEED, substream
 from .stats import _SubsetScorer
-from .trec_io import Campaign, Qrels, Run, RunEntry
+from .trec_io import Campaign, Qrels, Run, RunColumns
 
 _STREAM_TOPIC = 11
 _STREAM_SKILL = 12
@@ -81,6 +81,14 @@ def _doc_id(j: int) -> str:
     return f"doc{j:05d}"
 
 
+def _ranked(docs: Sequence[str]) -> RunColumns:
+    """Columns for ``docs`` in the given order: scores n..1, ranks 1..n."""
+    n = len(docs)
+    return RunColumns(
+        tuple(docs), np.arange(n, 0, -1, dtype=np.float64), np.arange(1, n + 1, dtype=np.int64)
+    )
+
+
 def generate_campaign(spec: SynthSpec) -> Campaign:
     """A deterministic campaign drawn from the spec's generative model."""
     skills = substream(spec.seed, _STREAM_SKILL).uniform(0.15, 0.95, spec.n_systems)
@@ -97,7 +105,7 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
     runs: list[Run] = []
     for s in range(spec.n_systems):
         theta = 1.0 if spec.overlap_bias == 1.0 else skills[s] * spec.overlap_bias
-        rankings: dict[str, tuple[RunEntry, ...]] = {}
+        columns: dict[str, RunColumns] = {}
         for t, topic in enumerate(topic_ids):
             rng = substream(spec.seed, _STREAM_RANKING, s, t)
             take_shared = rng.random(spec.run_depth) < theta
@@ -121,19 +129,16 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
                     doc = int(private[private_at])
                 used.add(doc)
                 picked.append(doc)
-            rankings[topic] = tuple(
-                RunEntry(_doc_id(doc), float(spec.run_depth - slot), slot + 1)
-                for slot, doc in enumerate(picked)
-            )
-        runs.append(Run(f"sys{s:03d}", rankings))
+            columns[topic] = _ranked([_doc_id(doc) for doc in picked])
+        runs.append(Run.of_columns(f"sys{s:03d}", columns))
     return Campaign(runs, Qrels(judgments, relevance_threshold=1))
 
 
 def _all_known_docs(campaign: Campaign) -> set[str]:
     known: set[str] = set()
     for run in campaign.runs:
-        for entries in run.rankings.values():
-            known.update(e.doc for e in entries)
+        for columns in run.columns.values():
+            known.update(columns.docs)
     for by_doc in campaign.qrels.judgments.values():
         known.update(by_doc)
     return known
@@ -163,15 +168,12 @@ def _padded(
     relevant = campaign.qrels.relevant(topic)
     seen: set[str] = set()
     for run in campaign.runs:
-        seen.update(e.doc for e in run.rankings.get(topic, ()))
+        seen.update(run.docs(topic))
     return docs + sorted(seen - relevant - set(docs))[: pad_to - len(docs)]
 
 
 def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
-    entries = tuple(
-        RunEntry(doc, float(len(docs) - i), i + 1) for i, doc in enumerate(docs)
-    )
-    return Run(tag, {topic: entries})
+    return Run.of_columns(tag, {topic: _ranked(docs)})
 
 
 def make_rare_system(

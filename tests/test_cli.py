@@ -92,6 +92,18 @@ class TestEval:
         assert code == 1
         assert ":1" in err
 
+    def test_two_run_files_with_one_tag_are_both_named(self, tmp_path, toy_files, capsys):
+        _, qrels = toy_files
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("t1 Q0 d1 1 2.0 A\n")
+        second.write_text("t1 Q0 d2 1 2.0 A\n")
+        code, _, err = run_cli(
+            ["eval", "--runs", str(first), str(second), "--qrels", qrels, "--metric", "P@2"],
+            capsys,
+        )
+        assert code == 1
+        assert err == f"error: duplicate system id 'A' in {first} and {second}\n"
+
     def test_usage_error_exits_2(self, capsys):
         code, _, _ = run_cli(["eval", "--qrels", "q"], capsys)
         assert code == 2

@@ -2,19 +2,24 @@ import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareval import (
     Campaign,
     DataError,
     FormatError,
     ParseError,
+    Run,
+    RunEntry,
     format_qrels,
     format_run,
     load_campaign,
     parse_qrels,
     parse_run_file,
 )
-from rareval.errors import ConfigError
+from rareval.errors import ConfigError, RarevalError
+from rareval.trec_io import _parse_run_columns, _parse_run_lines
 
 
 def run_of(text, **kw):
@@ -95,6 +100,29 @@ class TestParseRun:
             run_of("t1 Q0 d1 1 9.5 sysA\n", dedup="last")
         with pytest.raises(ConfigError):
             run_of("t1 Q0 d1 1 9.5 sysA\n", order="file")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_unknown_order_is_a_config_error_before_reading(self, text):
+        source = io.StringIO(text)
+        with pytest.raises(ConfigError, match="unknown ordering policy 'bogus'"):
+            parse_run_file(source, order="bogus")
+        assert source.tell() == 0
+
+    def test_rank_beyond_64_bits_is_a_located_parse_error(self):
+        with pytest.raises(ParseError, match=r"^<stream>:2: rank '9{20}' does not fit in 64 bits"):
+            parse_run_file(
+                io.StringIO("t1 Q0 d1 1 2.0 A\nt1 Q0 d2 99999999999999999999 1.0 A\n"),
+            )
+
+    def test_the_rankings_view_rebuilds_entries_from_the_columns(self):
+        run = run_of("t1 Q0 d1 7 2.5 A\nt1 Q0 d2 3 9.0 A\nt2 Q0 d1 1 1.0 A\n")
+        assert run.rankings == {
+            "t1": (RunEntry("d2", 9.0, 3), RunEntry("d1", 2.5, 7)),
+            "t2": (RunEntry("d1", 1.0, 1),),
+        }
+        assert Run("A", run.rankings) == run
+        run.rankings["t1"] = ()  # a copy: the run is unchanged
+        assert run.docs("t1") == ("d2", "d1")
 
 
 class TestParseQrels:
@@ -237,3 +265,116 @@ class TestCampaignValidation:
     def test_at_least_one_run(self, toy4):
         with pytest.raises(DataError):
             Campaign([], toy4.qrels)
+
+
+# Field spellings for generated run files. A clean line draws from the
+# first lists: valid numbers, odd spellings included, ASCII ids, one tag.
+# About one line in four draws one of its parts from the second: bad numbers,
+# non-finite scores, valid non-ASCII UTF-8, bytes that are not UTF-8, a second
+# tag, whitespace the fast pass leaves to the line parser, and lines of 5 or
+# 7 fields, alone or as a pair whose fields, taken six at a time across the
+# line break, would read as two good lines.
+_CLEAN = {
+    "topic": [b"t1", b"t2", b"401"],
+    "doc": [b"d1", b"d2", b"d3", b"d10", b"D1", b"a", b"ab", b"b", b"c9"],
+    "rank": [b"1", b"2", b"3", b"+3", b"-1", b"007", b"1_0"],
+    "score": [b"1.0", b"2.5", b"2.5", b"-0.0", b"0", b"1_0.5", b"1e5", b".5"],
+    "tag": [b"A"],
+    "separator": [b" ", b"\t", b" \t "],
+    "ending": [b"\n"],
+    "shape": ["six"] * 5 + ["blank"],
+}
+_MESSY = {
+    "doc": [b"d\xc3\xa9", b"d\xff", b"d\x00"],
+    "rank": [b"x", b"9" * 20, b"1.0"],
+    "score": [b"infinity", b"nan", b"-inf", b"abc"],
+    "tag": [b"B"],
+    "separator": [b"\x0c", b"\x1c", b"\x0b"],
+    "ending": [b"\r\n", b"\r"],
+    "shape": ["five", "seven", "five+seven", "five+seven"],
+}
+
+
+@st.composite
+def run_files(draw):
+    """Run-file bytes of 0-8 lines, mostly clean."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        messy = draw(st.sampled_from([None] * 28 + list(_MESSY) + ["shape"] * 3))
+        pick = {
+            key: draw(st.sampled_from(_MESSY[key] if key == messy else clean))
+            for key, clean in _CLEAN.items()
+        }
+        fields = [pick["topic"], b"Q0", pick["doc"], pick["rank"], pick["score"], pick["tag"]]
+        if pick["shape"] == "blank":
+            fields = [draw(st.sampled_from([b"", b" "]))]
+        elif pick["shape"] == "five":
+            fields = fields[:5]
+        elif pick["shape"] == "seven":
+            fields = fields + [b"extra"]
+        elif pick["shape"] == "five+seven":  # the line break moved one field left
+            lines.append(pick["separator"].join(fields[:5]) + b"\n")
+            fields = [fields[5], *fields[:2], draw(st.sampled_from(_CLEAN["doc"])), *fields[3:]]
+        lines.append(pick["separator"].join(fields) + pick["ending"])
+    return b"".join(lines)
+
+
+class TestFastPassAgreesWithTheLineParser:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        data=run_files(),
+        dedup=st.sampled_from(["reject", "first"]),
+        order=st.sampled_from(["score", "rank-field"]),
+        via=st.sampled_from(["bytes", "text"]),
+    )
+    def test_same_run_or_same_error(self, data, dedup, order, via):
+        if via == "bytes":  # a path or a byte-backed stream such as sys.stdin
+            def source():
+                return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        else:
+            text = data.decode("utf-8", errors="surrogateescape")
+
+            def source():
+                return io.StringIO(text)
+            lines = io.StringIO(text)
+        try:
+            expected = _parse_run_lines(lines, "<stream>", dedup, order)
+        except RarevalError as exc:
+            with pytest.raises(type(exc)) as raised:
+                parse_run_file(source(), dedup=dedup, order=order)
+            assert str(raised.value) == str(exc)
+            assert _parse_run_columns(data, order) is None
+            return
+        run = parse_run_file(source(), dedup=dedup, order=order)
+        assert run == expected
+        assert list(run.columns) == list(expected.columns)
+        fast = _parse_run_columns(data, order)
+        if fast is not None:
+            assert fast == expected
+            assert list(fast.columns) == list(expected.columns)
+
+    def test_the_fast_pass_takes_clean_files_and_odd_numbers(self):
+        data = b"t2 Q0 d1 1_0 1_0.5 A\n\n t1\tQ0 d2 +3 1e5 A \nt1 Q0 d1 007 .5 A"
+        fast = _parse_run_columns(data, "rank-field")
+        assert fast is not None
+        assert fast.rankings == {
+            "t2": (RunEntry("d1", 10.5, 10),),
+            "t1": (RunEntry("d2", 100000.0, 3), RunEntry("d1", 0.5, 7)),
+        }
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"t1 Q0 d1 1 2.0 A\nt1 Q0 d2 2 1.0\nt1 Q0 d3 3 0.5 A extra\n",  # 5 + 7 fields
+            b"t1 Q0 d1 1 2.0 A\r\n",
+            b"t1 Q0 d\xc3\xa9 1 2.0 A\n",
+            b"t1 Q0 d1\x1c 1 2.0 A\n",
+            b"t1 Q0 d1 1 2.0 A\nt1 Q0 d1 2 1.0 A\n",
+            b"t1 Q0 d1 1 2.0 A\nt1 Q0 d2 2 1.0 B\n",
+            b"t1 Q0 d1 1 nan A\n",
+        ],
+        ids=["five-and-seven", "crlf", "non-ascii", "0x1c", "duplicate", "mixed-tags", "nan"],
+    )
+    def test_the_fast_pass_declines_what_it_cannot_prove(self, data):
+        assert _parse_run_columns(data, "score") is None

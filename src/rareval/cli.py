@@ -34,7 +34,7 @@ from .campaign import evaluate_campaign, mean_scores, rank_systems
 from .errors import ConfigError, DataError, RarevalError
 from .metrics import DEFAULT_CUTOFF, MetricSpec
 from .rarity import build_rarity_index, rarity_report
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, MAX_SEED
 from .stats import (
     SIGNIFICANCE_LEVELS,
     StabilityConfig,
@@ -154,6 +154,17 @@ def _tokens(text: str, flag: str, parse, expected: str) -> list:
                 f"bad {flag} token {token!r} in {text!r}; expected comma-separated {expected}"
             )
     return values
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value, checked before any input is read."""
+    try:
+        seed = int(text)
+        if 0 <= seed <= MAX_SEED:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer in 0..{MAX_SEED}, got {text!r}")
 
 
 def _alpha_grid(text: str) -> list[float]:
@@ -443,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="accepted (or RAREVAL_THREADS) and validated, but "
                         "changes nothing: trials run serially")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("eval", parents=[inputs, common],
                        help="score every system under the given metrics")
@@ -491,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, default=0.5,
                    help="overlap bias in [0,1]: how much systems share relevant picks")
     p.add_argument("--depth", type=int, required=True, help="documents per run per topic")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 

@@ -16,7 +16,14 @@ Four procedures:
   probe trajectory (``synth.rank_trajectory``) scores through the same
   subset scorer: each step is the base systems plus one probe row.
 
-Trials run serially; the ``threads`` keyword is accepted and changes nothing.
+Stability draws trial ``t``'s topics from ``substream(seed, 101, t)``, once
+per (seed, usable topics, sample size, trials): a bounded memo keeps the last
+four such draw arrays, read-only, each trials x sample size bytes (two bytes
+an index above 256 topics), so metrics over the same topics share them. It
+scores each distinct draw once, over blocks of draws sized to a few MB, and
+counts wins as integers, so its results equal the one-trial-at-a-time loop
+bit for bit. Subset trials run one at a time. Nothing runs in threads: the
+``threads`` keyword is accepted and changes nothing.
 
 The HSD critical value comes from the studentized-range distribution: its
 CDF is the Copenhaver & Holland (1988) double integral, both integrals on
@@ -257,6 +264,27 @@ class StabilityResult:
 
 StabilityDirection = Literal["winner", "fullset"]
 
+# Cells of the temporaries stability builds per block of distinct draws (the
+# gathered scores and the pairwise differences); bounds their memory at a few
+# MB whatever the number of systems, topics or trials.
+_STABILITY_BLOCK_CELLS = 1 << 18
+
+
+@lru_cache(maxsize=4)
+def _trial_samples(seed: int, n_topics: int, sample_size: int, trials: int) -> np.ndarray:
+    """Each stability trial's sampled topic indices, row ``t`` for trial ``t``.
+
+    Row ``t`` is the draw of ``substream(seed, _STREAM_STABILITY, t)``, so
+    metrics with the same number of usable topics share one set of draws.
+    The array is read-only, as every caller gets the same one.
+    """
+    draws = np.empty((trials, sample_size), dtype=np.min_scalar_type(n_topics - 1))
+    for trial in range(trials):
+        rng = substream(seed, _STREAM_STABILITY, trial)
+        draws[trial] = rng.choice(n_topics, size=sample_size, replace=False)
+    draws.flags.writeable = False
+    return draws
+
 
 def stability(
     campaign: Campaign,
@@ -292,31 +320,41 @@ def stability(
             f"sample size {config.sample_size} exceeds the {cols.size} usable topics"
         )
     values = matrix.values[:, cols]
-    n_topics = cols.size
     n_systems = len(systems)
+    trials = config.trials
 
-    wins = np.zeros((n_systems, n_systems))
-    for trial in range(config.trials):
-        rng = substream(config.seed, _STREAM_STABILITY, trial)
-        idx = rng.choice(n_topics, size=config.sample_size, replace=False)
-        means = values[:, idx].mean(axis=1)
-        diff = means[:, None] - means[None, :]
-        wins += (diff > 0).astype(float) + 0.5 * (diff == 0)
+    draws = _trial_samples(config.seed, cols.size, config.sample_size, trials)
+    # Trials that drew the same topics in the same order have the same means,
+    # so each distinct draw is scored once and counted once per such trial.
+    samples, repeats = np.unique(draws, axis=0, return_counts=True)
+    first, second = np.triu_indices(n_systems, 1)  # the pairs i < j, row-major
+    greater = np.zeros(first.size, dtype=np.int64)
+    equal = np.zeros(first.size, dtype=np.int64)
+    step = max(1, _STABILITY_BLOCK_CELLS // max(n_systems * config.sample_size, first.size))
+    for start in range(0, len(samples), step):
+        # The same contiguous pairwise sum per sample as values[:, idx].mean(axis=1).
+        means = values[:, samples[start : start + step]].mean(axis=-1)
+        diff = means[first] - means[second]
+        weight = repeats[start : start + step]
+        greater += (diff > 0) @ weight
+        equal += (diff == 0) @ weight
+    wins = greater + 0.5 * equal  # exact: every term is a multiple of 0.5
 
-    full_diff = values.mean(axis=1)[:, None] - values.mean(axis=1)[None, :]
-    per_pair: dict[tuple[str, str], float] = {}
-    for i in range(n_systems):
-        for j in range(i + 1, n_systems):
-            w = wins[i, j]
-            if direction == "winner" or full_diff[i, j] == 0:
-                score = max(w, config.trials - w) / config.trials
-            elif full_diff[i, j] > 0:
-                score = w / config.trials
-            else:
-                score = (config.trials - w) / config.trials
-            per_pair[(systems[i], systems[j])] = float(score)
-    overall = float(np.mean(list(per_pair.values())))
-    return StabilityResult(matrix.metric_descriptor, per_pair, overall, config.trials)
+    scores = np.maximum(wins, trials - wins) / trials
+    if direction == "fullset":
+        full = values.mean(axis=1)
+        full_diff = full[first] - full[second]
+        scores = np.where(
+            full_diff == 0,
+            scores,
+            np.where(full_diff > 0, wins / trials, (trials - wins) / trials),
+        )
+    per_pair = {
+        (systems[i], systems[j]): score
+        for i, j, score in zip(first.tolist(), second.tolist(), scores.tolist())
+    }
+    overall = float(scores.mean())
+    return StabilityResult(matrix.metric_descriptor, per_pair, overall, trials)
 
 
 # --- subset-of-systems experiment ----------------------------------------------

@@ -10,6 +10,8 @@ re-evaluate each prefix from scratch.
 
 import math
 
+import numpy as np
+
 
 def naive_count_retrievers(runs_docs, topic, doc, depth=None):
     n = 0
@@ -100,6 +102,39 @@ def naive_tau_b(x, y):
     n0 = n * (n - 1) // 2
     denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
     return (concordant - discordant) / denom
+
+
+def naive_stability(values, sample_size, trials, seed, direction="winner"):
+    """The topic-subsampling protocol, one trial at a time.
+
+    ``values`` is a systems x usable-topics array. Trial ``t`` samples topics
+    with numpy's generator seeded by ``(seed, 101, t)``, the stability
+    substream, and an exact tie credits each side 0.5. Returns the scores
+    keyed by system index pairs ``(i, j)``, ``i < j``, and their mean.
+    """
+    values = np.asarray(values, dtype=float)
+    n_systems, n_topics = values.shape
+    wins = np.zeros((n_systems, n_systems))
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, 101, trial))
+        idx = rng.choice(n_topics, size=sample_size, replace=False)
+        means = values[:, idx].mean(axis=1)
+        diff = means[:, None] - means[None, :]
+        wins += (diff > 0).astype(float) + 0.5 * (diff == 0)
+    full = values.mean(axis=1)
+    per_pair = {}
+    for i in range(n_systems):
+        for j in range(i + 1, n_systems):
+            w = wins[i, j]
+            full_diff = full[i] - full[j]
+            if direction == "winner" or full_diff == 0:
+                score = max(w, trials - w) / trials
+            elif full_diff > 0:
+                score = w / trials
+            else:
+                score = (trials - w) / trials
+            per_pair[(i, j)] = float(score)
+    return per_pair, float(np.mean(list(per_pair.values())))
 
 
 def campaign_to_plain(campaign):

@@ -6,8 +6,20 @@ import warnings
 
 import pytest
 
-from rareval import load_campaign
+import rareval.stats
+from rareval import (
+    MetricSpec,
+    StabilityConfig,
+    SubsetExperimentConfig,
+    SynthSpec,
+    generate_campaign,
+    load_campaign,
+    stability,
+    subset_experiment,
+)
 from rareval.cli import _threads, build_parser, dispatch
+from rareval.errors import ConfigError
+from rareval.rng import MAX_SEED, substream
 
 TOY_RUNS = {
     "A": ["d1", "d2", "d4"],
@@ -313,6 +325,92 @@ class TestStabilityCommand:
         )
         assert code == 0
         assert out.startswith("P@3\toverall\t")
+
+
+class TestStabilityDrawsAreShared:
+    def test_six_table_metrics_build_one_generator_per_trial_and_topic_count(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # t4 is judged but has no relevant document: the P family samples 2
+        # of 4 topics, the AP family, which skips t4, 1 of 3.
+        topics = ["t1", "t2", "t3", "t4"]
+        runs = []
+        for s, system in enumerate("ABCD"):
+            lines = [
+                f"{t} Q0 d{(s + i + n) % 5} {i + 1} {float(3 - i)} {system}"
+                for n, t in enumerate(topics)
+                for i in range(3)
+            ]
+            path = tmp_path / f"{system}.run"
+            path.write_text("\n".join(lines) + "\n")
+            runs.append(str(path))
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text(
+            "t1 0 d1 1\nt1 0 d2 1\nt2 0 d0 1\nt3 0 d3 1\nt3 0 d4 1\nt4 0 d1 0\n"
+        )
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return substream(*args)
+
+        rareval.stats._trial_samples.cache_clear()
+        monkeypatch.setattr(rareval.stats, "substream", counting)
+        code, out, _ = run_cli(
+            ["stability", "--runs", *runs, "--qrels", str(qrels), "--cutoff", "3",
+             "--trials", "40"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        assert len(built) == 80  # 2 topic counts x 40 trials, not 6 metrics x 40
+
+
+class TestSeedRange:
+    """A seed is an unsigned 64-bit integer; nothing wraps modulo 2**64."""
+
+    @pytest.mark.parametrize("seed", [str(MAX_SEED + 1), "-1", "seven"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--runs", "missing.run", "--qrels", "missing.txt",
+             "--trials", "5"],
+            ["subset", "--runs", "missing.run", "--qrels", "missing.txt",
+             "--sizes", "2", "--trials", "5"],
+            ["synth", "--systems", "2", "--topics", "1", "--relevant", "1",
+             "--pool", "5", "--depth", "2", "--out", "never-written"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_of_range_seed_exits_2_naming_the_flag(self, capsys, tmp_path, argv, seed):
+        code, out, err = run_cli([*argv, "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err and "missing" not in err
+        assert not (tmp_path / "never-written").exists()
+
+    def test_largest_seed_is_accepted(self, toy_files, capsys):
+        runs, qrels = toy_files
+        code, out, _ = run_cli(
+            ["stability", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+             "--metric", "P@3", "--trials", "5", "--seed", str(MAX_SEED)],
+            capsys,
+        )
+        assert code == 0
+        assert out.startswith("P@3\toverall\t")
+
+    @pytest.mark.parametrize("seed", [MAX_SEED + 1, -1])
+    def test_library_rejects_the_seed(self, toy4, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            substream(seed, 1)
+        with pytest.raises(ConfigError, match="seed"):
+            stability(toy4, MetricSpec.parse("P@3"), StabilityConfig(1, trials=5, seed=seed))
+        with pytest.raises(ConfigError, match="seed"):
+            subset_experiment(
+                toy4, MetricSpec.parse("P@3"), SubsetExperimentConfig(2, trials=5, seed=seed)
+            )
+        with pytest.raises(ConfigError, match="seed"):
+            generate_campaign(SynthSpec(2, 1, 1, 5, overlap_bias=0.5, run_depth=2, seed=seed))
 
 
 class TestThreadCap:

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau as scipy_kendalltau
 from scipy.stats import studentized_range as scipy_sr
 
+import rareval.stats
 from rareval import (
     Campaign,
     MetricSpec,
@@ -25,8 +28,14 @@ from rareval import (
     subset_experiment,
 )
 from rareval.errors import ConfigError, DataError, UndefinedRarityError
-from rareval.rng import substream
-from rareval.stats import _STREAM_STABILITY, _SubsetScorer, _tau_b, hsd_critical_difference
+from rareval.rng import MAX_SEED, substream
+from rareval.stats import (
+    _STREAM_STABILITY,
+    _SubsetScorer,
+    _tau_b,
+    _trial_samples,
+    hsd_critical_difference,
+)
 
 import oracles
 from conftest import make_run
@@ -351,6 +360,92 @@ class TestStability:
         fullset = stability(campaign, MetricSpec.parse("P@4"), config, direction="fullset")
         winner = stability(campaign, MetricSpec.parse("P@4"), config)
         assert fullset.per_pair[("A", "B")] < 0.5 < winner.per_pair[("A", "B")]
+
+
+# Few distinct values, so exactly tied sampled means are routine.
+_TIED_SCORES = st.sampled_from([0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0])
+
+
+@st.composite
+def stability_cases(draw):
+    n_systems = draw(st.integers(2, 12))
+    n_topics = draw(st.integers(1, 20))
+    values = draw(
+        st.lists(
+            st.one_of(_TIED_SCORES, st.floats(0, 2, allow_nan=False)),
+            min_size=n_systems * n_topics,
+            max_size=n_systems * n_topics,
+        )
+    )
+    skipped = draw(st.sets(st.integers(0, n_topics - 1), max_size=n_topics - 1))
+    usable = n_topics - len(skipped)
+    return (
+        np.array(values).reshape(n_systems, n_topics),
+        frozenset(skipped),
+        draw(st.integers(1, usable)),
+        draw(st.integers(1, 300)),
+        draw(st.one_of(st.integers(0, 50), st.just(MAX_SEED))),
+        draw(st.sampled_from(["winner", "fullset"])),
+    )
+
+
+def _matrix(values, skipped) -> ScoreMatrix:
+    n_systems, n_topics = values.shape
+    return ScoreMatrix(
+        "m",
+        tuple(f"s{i}" for i in range(n_systems)),
+        tuple(f"t{j}" for j in range(n_topics)),
+        values,
+        frozenset(f"t{j}" for j in skipped),
+    )
+
+
+def _assert_matches_serial_loop(values, skipped, sample_size, trials, seed, direction):
+    result = stability(
+        None, None, StabilityConfig(sample_size, trials=trials, seed=seed),
+        direction=direction, matrix=_matrix(values, skipped),
+    )
+    usable = [j for j in range(values.shape[1]) if j not in skipped]
+    per_pair, overall = oracles.naive_stability(
+        values[:, usable], sample_size, trials, seed, direction
+    )
+    assert result.per_pair == {(f"s{i}", f"s{j}"): v for (i, j), v in per_pair.items()}
+    assert result.overall == overall
+    assert result.trials == trials
+
+
+class TestBatchedStability:
+    """The blocked win count equals the serial per-trial loop exactly."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(stability_cases())
+    def test_equals_serial_loop(self, case):
+        _assert_matches_serial_loop(*case)
+
+    @pytest.mark.parametrize("draws_per_block", [1, 7])
+    def test_several_blocks_with_a_ragged_last_one(self, monkeypatch, draws_per_block):
+        rng = np.random.default_rng(3)
+        values = rng.choice([0.0, 0.25, 0.5, 1.0], size=(5, 10))
+        sample_size, trials, seed = 3, 60, 4  # 59 distinct draws, one drawn twice
+        distinct = np.unique(_trial_samples(seed, 10, sample_size, trials), axis=0)
+        assert len(distinct) > 7 and len(distinct) % 7 != 0
+        # Per draw a block holds 5 x 3 gathered scores and 10 pair differences.
+        cells_per_draw = max(5 * sample_size, 5 * 4 // 2)
+        monkeypatch.setattr(
+            rareval.stats, "_STABILITY_BLOCK_CELLS", draws_per_block * cells_per_draw
+        )
+        for direction in ("winner", "fullset"):
+            _assert_matches_serial_loop(values, frozenset(), sample_size, trials, seed, direction)
+
+    def test_draws_are_the_substream_draws_and_read_only(self):
+        draws = _trial_samples(9, 300, 4, 30)
+        assert draws.dtype == np.uint16
+        for trial in range(30):
+            expected = substream(9, _STREAM_STABILITY, trial).choice(300, size=4, replace=False)
+            assert draws[trial].tolist() == expected.tolist()
+        assert _trial_samples(9, 300, 4, 30) is draws
+        with pytest.raises(ValueError):
+            draws[0, 0] = 1
 
 
 class TestSubsetExperiment:

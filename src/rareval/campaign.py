@@ -6,21 +6,25 @@ incomplete runs strictly. Topics without relevant documents are excluded from
 AP-family aggregation (the skip set is carried on the matrix); the
 precision family scores them unless the same exclusion is requested.
 
-``evaluate_campaign`` scores a list of specs in one pass: one hit table per
-topic and scoring depth (``topic_hits``), scored by the one metric formula,
-``metrics.score_hits``, which sums every cell's gains in rank order.
+One scorer, ``_SubsetScorer``, scores rows of a campaign's hit tables with the
+one metric formula, ``metrics.score_hits``, which sums gains in rank order.
+``evaluate_campaign`` runs it over every row with counts from the rarity
+index; the subset experiment (``stats``) and the probe trajectory (``synth``)
+run it over row subsets with counts over just those rows, so all agree bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .metrics import HitTable, MetricSpec, hit_table, metric_bound, score_table
-from .rarity import RarityIndex, build_rarity_index
+from .errors import DataError, UndefinedRarityError
+from .metrics import MetricSpec, hit_table, metric_bound, score_hits
+from .rarity import RarityIndex, build_rarity_index, checked_counts, rarity_of_counts
 from .trec_io import Campaign
 
 
@@ -77,15 +81,74 @@ class SystemRanking:
         raise DataError(f"no system {system_id!r} in this ranking")
 
 
-def topic_hits(
-    campaign: Campaign, topics: Sequence[str], bound: int | None
-) -> list[HitTable]:
-    """Each topic's hit table, one row per system in ``system_ids`` order."""
-    runs = sorted(campaign.runs, key=lambda run: run.system_id)
-    return [
-        hit_table([run.docs(t) for run in runs], campaign.qrels.relevant(t), bound)
-        for t in topics
-    ]
+class _SubsetScorer:
+    """The one loop that scores a campaign: rows of its systems, one hit table
+    per judged topic at ``spec``'s scoring depth, rows in ``system_ids`` order."""
+
+    def __init__(self, campaign: Campaign, spec: MetricSpec, *, rarity_depth, ap_depth):
+        if rarity_depth is not None and rarity_depth < 1:
+            raise DataError(f"count depth must be >= 1 or None, got {rarity_depth}")
+        if not campaign.judged_topics:
+            raise DataError("campaign has no judged topics")
+        self.spec, self.rarity_depth = spec, rarity_depth
+        self.runs = sorted(campaign.runs, key=lambda run: run.system_id)
+        self.topics = campaign.judged_topics
+        self.n_rel = [campaign.qrels.n_relevant(t) for t in self.topics]
+        bound = metric_bound(spec, ap_depth)
+        self.tables = [
+            hit_table([run.docs(t) for run in self.runs], campaign.qrels.relevant(t), bound)
+            for t in self.topics
+        ]
+        # The AP family averages over the topics with relevant documents only.
+        self.kept = [i for i, n in enumerate(self.n_rel) if n or not spec.is_ap_family]
+
+    @cached_property
+    def incidence(self) -> list[np.ndarray]:
+        """Per topic, a systems x hit-docs grid of retrievals within the rarity
+        depth: the retrieval counts of some rows are its column sums over them."""
+        grids = []
+        for topic, table in zip(self.topics, self.tables):
+            doc_col = {doc: c for c, doc in enumerate(table.docs)}
+            grid = np.zeros((len(self.runs), len(doc_col)), dtype=bool)
+            for si, run in enumerate(self.runs):
+                scope = run.docs(topic)[: self.rarity_depth]
+                grid[si, [doc_col[doc] for doc in scope if doc in doc_col]] = True
+            grids.append(grid)
+        return grids
+
+    def scores(self, rows: np.ndarray, spec: MetricSpec, index: RarityIndex | None = None):
+        """The ``rows`` x judged-topics scores of ``spec`` (scoring to the
+        constructor's depth), with rarity counted in ``index`` if given, else
+        over just ``rows``."""
+        values = np.zeros((len(rows), len(self.topics)))
+        for ti, (topic, table) in enumerate(zip(self.topics, self.tables)):
+            if not table.docs:
+                continue  # nothing hit scores exactly 0
+            columns, hit = table.columns[rows], table.hit[rows]
+            rarity = None
+            if spec.needs_rarity:
+                if index is not None:
+                    counts, total = checked_counts(index, topic, table.docs), index.total_systems
+                else:
+                    counts, total = self.incidence[ti][rows].sum(axis=0), len(rows)
+                    uncounted = columns[hit][counts[columns[hit]] < 1]
+                    if uncounted.size:
+                        raise UndefinedRarityError(
+                            f"no sampled system retrieved {table.docs[uncounted[0]]!r} for "
+                            f"topic {topic!r} within count depth {self.rarity_depth}"
+                        )
+                rarity = rarity_of_counts(counts, total, spec.config.rarity_variant)[columns]
+            values[:, ti] = score_hits(spec, table.ranks[rows], hit, rarity, self.n_rel[ti])
+        return values
+
+    def subset_means(self, subset: np.ndarray, spec: MetricSpec | None = None) -> np.ndarray:
+        """Per-system mean scores when only ``subset`` participates.
+
+        ``spec`` defaults to the constructor's; another must differ from it
+        only in alpha, since the tables were extracted for that one.
+        """
+        spec = self.spec if spec is None else spec
+        return topic_means(self.scores(subset, spec)[:, self.kept])
 
 
 def evaluate_campaign(
@@ -96,37 +159,28 @@ def evaluate_campaign(
     ap_depth: int | None | Literal["cutoff"] = "cutoff",
     exclude_zero_relevant_for_p: bool = False,
     index: RarityIndex | None = None,
-    n_relevant_override: Mapping[str, int] | None = None,
 ) -> list[ScoreMatrix]:
     """Score every system on every judged topic for each metric spec, in one pass.
 
-    The hit table is built once per scoring depth and the rarity index once
+    One scorer serves each scoring depth and the rarity index is built once
     for all specs (rarity does not depend on alpha); pass ``index`` to reuse
-    a prebuilt one. ``n_relevant_override`` substitutes AP-family
-    denominators per topic (sensitivity analyses that freeze them while
-    qrels grow).
+    a prebuilt one.
     """
     topics = campaign.judged_topics
     if not topics:
         raise DataError("campaign has no judged topics")
     if index is None and any(s.needs_rarity for s in specs):
         index = build_rarity_index(campaign, rarity_depth)
-    n_rel = {t: campaign.qrels.n_relevant(t) for t in topics}
-    if n_relevant_override is not None:
-        n_rel.update(n_relevant_override)
-
-    tables: dict[int | None, list[HitTable]] = {}
+    scorers: dict[int | None, _SubsetScorer] = {}
     matrices: list[ScoreMatrix] = []
     for spec in specs:
-        skip_empty = spec.is_ap_family or exclude_zero_relevant_for_p
-        skipped = frozenset(t for t in topics if skip_empty and n_rel[t] == 0)
         bound = metric_bound(spec, ap_depth)
-        if bound not in tables:
-            tables[bound] = topic_hits(campaign, topics, bound)
-        values = np.zeros((campaign.n_systems, len(topics)))
-        for ti, (topic, table) in enumerate(zip(topics, tables[bound])):
-            if topic not in skipped:
-                values[:, ti] = score_table(spec, table, index, topic, n_rel[topic])
+        if bound not in scorers:  # counts come from the index: no grid depth
+            scorers[bound] = _SubsetScorer(campaign, spec, rarity_depth=None, ap_depth=ap_depth)
+        scorer = scorers[bound]
+        skip_empty = spec.is_ap_family or exclude_zero_relevant_for_p
+        skipped = frozenset(t for t, n in zip(topics, scorer.n_rel) if skip_empty and n == 0)
+        values = scorer.scores(np.arange(campaign.n_systems), spec, index)
         matrices.append(
             ScoreMatrix(spec.descriptor, campaign.system_ids, topics, values, skipped)
         )

@@ -277,7 +277,7 @@ def _cmd_stability(args) -> int:
     specs = (
         [_parse_metric(args, m) for m in args.metric] if args.metric else _table_metrics(args)
     )
-    threads = _threads(args)
+    _threads(args)  # validated, though trials run serially
     matrices = evaluate_campaign(
         campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
     )
@@ -290,7 +290,6 @@ def _cmd_stability(args) -> int:
             spec,
             StabilityConfig(sample_size=sample, trials=args.trials, seed=args.seed),
             direction=args.stability_direction,
-            threads=threads,
             matrix=matrix,
         )
         rows.append(
@@ -318,14 +317,13 @@ def _cmd_subset(args) -> int:
     spec = _parse_metric(
         args, args.metric[0] if args.metric else f"P@{args.cutoff}_rareness"
     )
-    threads = _threads(args)
+    _threads(args)  # validated, though trials run serially
     rows: list[dict] = []
     for n in _sizes(args.sizes):
         result = subset_experiment(
             campaign,
             spec,
             SubsetExperimentConfig(subset_size=n, trials=args.trials, seed=args.seed),
-            threads=threads,
             rarity_depth=args.rarity_depth,
             ap_depth=_ap_depth(args),
         )

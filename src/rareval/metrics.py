@@ -11,13 +11,14 @@ Two families, each in a standard and a rarity-weighted form:
 plus a bounded mixture form ``P@k_mixture``:
 ``(1/k) * sum_i [(1-alpha)*Rel(d_i) + alpha*Rel(d_i)*R(d_i)]``.
 
-The formula is written once, in ``score_hits``: the per-cell functions
-here, ``campaign.evaluate_campaign``, the subset scorer in ``stats`` and the
-probe trajectory in ``synth`` all score through it, and the rarity of a hit
-comes from ``rarity.rarity_of_counts``. Every path sums gains in rank order,
-so setting ``alpha = 0`` reverts every weighted form to its standard
+The formula is written once, in ``score_hits``, and it has two callers: the
+per-cell functions here and the one campaign scorer in ``campaign``, which
+serves ``evaluate_campaign``, the subset experiment in ``stats`` and the
+probe trajectory in ``synth``. The rarity of a hit comes from
+``rarity.rarity_of_counts``. Both callers sum gains in rank order, so
+setting ``alpha = 0`` reverts every weighted form to its standard
 counterpart bit-for-bit: a zero alpha contributes exactly ``0.0`` per term,
-and the paths agree with each other to the last bit. Positions past the end of a
+and the two agree with each other to the last bit. Positions past the end of a
 ranking count as non-relevant, and non-relevant or unjudged documents
 contribute nothing no matter how rare they are.
 """
@@ -143,24 +144,18 @@ def hit_table(
     return HitTable(tuple(doc_col), rank_grid, col_grid, np.isfinite(rank_grid))
 
 
-def score_table(
-    spec: MetricSpec, table: HitTable, index: RarityIndex | None, topic: str, n_relevant
-) -> np.ndarray:
-    """``score_hits`` on a hit table, each hit's rarity counted in ``index``."""
+def _score_one(spec, docs, relevant, bound, n_relevant=1, index=None, topic="") -> float:
+    """One ranking scored as a campaign is: its hit table, each hit's rarity
+    counted in ``index``, then ``score_hits``."""
+    table = hit_table([docs], relevant, bound)
     if not table.docs:
-        return np.zeros(len(table.ranks))  # nothing hit scores exactly 0
+        return 0.0  # nothing hit scores exactly 0
     rarity = None
     if spec.needs_rarity:
         counts = checked_counts(index, topic, table.docs)
         variant = spec.config.rarity_variant
         rarity = rarity_of_counts(counts, index.total_systems, variant)[table.columns]
-    return score_hits(spec, table.ranks, table.hit, rarity, n_relevant)
-
-
-def _score_one(spec, docs, relevant, bound, n_relevant=1, index=None, topic="") -> float:
-    """One ranking scored as a campaign is: its hit table, then ``score_table``."""
-    table = hit_table([docs], relevant, bound)
-    return float(score_table(spec, table, index, topic, n_relevant)[0])
+    return float(score_hits(spec, table.ranks, table.hit, rarity, n_relevant)[0])
 
 
 def precision_at_k(docs: Sequence[str], relevant: AbstractSet[str], k: int) -> float:
@@ -305,7 +300,8 @@ class MetricSpec:
         """Parse a metric name like ``P@100_rareness(alpha=0.5,rarity=eq2)``.
 
         Omitted parameters fall back to the supplied defaults (typically the
-        command-line level flags).
+        command-line level flags). A parameter given twice, or given to a base
+        metric (``P@k``, ``AP``), is a ``ConfigError``.
         """
         match = _NAME_RE.match(text.strip())
         if match is None:
@@ -313,44 +309,45 @@ class MetricSpec:
                 f"unknown metric name {text!r}; valid names: "
                 + ", ".join(METRIC_NAME_PATTERNS)
             )
-        alpha = default_alpha
-        variant = default_variant
-        params = match.group("params")
-        if params:
-            for item in filter(None, (p.strip() for p in params.split(","))):
-                key, _, value = item.partition("=")
-                key = key.strip().lower()
-                value = value.strip()
-                if key == "alpha":
-                    try:
-                        alpha = float(value)
-                    except ValueError:
-                        raise ConfigError(f"bad alpha value {value!r} in {text!r}")
-                elif key == "rarity":
-                    if value not in RARITY_VARIANTS:
-                        raise ConfigError(
-                            f"bad rarity variant {value!r} in {text!r} "
-                            f"(expected one of {RARITY_VARIANTS})"
-                        )
-                    variant = value
-                else:
-                    raise ConfigError(f"unknown metric parameter {key!r} in {text!r}")
+        params: dict[str, str] = {}
+        raw = match.group("params") or ""
+        for item in filter(None, (p.strip() for p in raw.split(","))):
+            key, _, value = item.partition("=")
+            key = key.strip().lower()
+            if key not in ("alpha", "rarity"):
+                raise ConfigError(f"unknown metric parameter {key!r} in {text!r}")
+            if key in params:
+                raise ConfigError(f"metric parameter {key!r} given twice in {text!r}")
+            params[key] = value.strip()
         if match.group("pfam"):
             cutoff = int(match.group("k"))
             suffix = (match.group("psuffix") or "").lower()
-            if suffix == "rareness":
-                kind = "p_rareness"
-            elif suffix == "mixture":
-                kind = "p_mixture"
-            else:
-                kind = "p"
+            kind = f"p_{suffix}" if suffix else "p"  # p_rareness or p_mixture
         else:
             cutoff = default_cutoff
             kind = "ap_rareness" if match.group("asuffix") else "ap"
         formulation = "mixture" if kind == "p_mixture" else "additive"
+        variant = params.get("rarity", default_variant)
+        if "rarity" in params and variant not in RARITY_VARIANTS:
+            raise ConfigError(
+                f"bad rarity variant {variant!r} in {text!r} "
+                f"(expected one of {RARITY_VARIANTS})"
+            )
         if kind in ("p", "ap"):
+            if params:
+                raise ConfigError(
+                    f"metric parameter {next(iter(params))!r} does not apply to "
+                    f"the base metric in {text!r}"
+                )
             # Base metrics ignore rarity; a zero alpha keeps the config honest.
             alpha = 0.0
+        elif "alpha" in params:
+            try:
+                alpha = float(params["alpha"])
+            except ValueError:
+                raise ConfigError(f"bad alpha value {params['alpha']!r} in {text!r}")
+        else:
+            alpha = default_alpha
         return cls(kind, MetricConfig(cutoff, alpha, variant, formulation))
 
 

@@ -10,11 +10,9 @@ Four procedures:
   one system of a pair beats the other across seeded trials.
 * ``subset_experiment``    -- rank N randomly sampled systems with rarity
   recomputed over just those N, and correlate against their ordering in the
-  full-campaign ranking. Its scores come from the campaign's hit table and
-  the one metric formula, ``metrics.score_hits``, which sums in rank order,
-  so they equal ``evaluate_campaign`` on the subcampaign bit for bit. The
-  probe trajectory (``synth.rank_trajectory``) scores through the same
-  subset scorer: each step is the base systems plus one probe row.
+  full-campaign ranking. Its scores come from the one campaign scorer in
+  ``campaign``, the one ``evaluate_campaign`` runs, over the sampled rows,
+  so they equal ``evaluate_campaign`` on the subcampaign bit for bit.
 
 Stability draws trial ``t``'s topics from ``substream(seed, 101, t)``, once
 per (seed, usable topics, sample size, trials): a bounded memo keeps the last
@@ -45,10 +43,9 @@ from typing import Literal
 
 import numpy as np
 
-from .campaign import ScoreMatrix, SystemRanking, evaluate_campaign, topic_hits, topic_means
-from .errors import ConfigError, DataError, UndefinedRarityError
-from .metrics import MetricSpec, metric_bound, score_hits
-from .rarity import rarity_of_counts
+from .campaign import ScoreMatrix, SystemRanking, _SubsetScorer, evaluate_campaign
+from .errors import ConfigError, DataError
+from .metrics import MetricSpec
 from .rng import DEFAULT_SEED, substream
 from .trec_io import Campaign
 
@@ -385,73 +382,6 @@ class SubsetResult:
 
 
 _MAX_RESAMPLE_ATTEMPTS = 100
-
-
-class _SubsetScorer:
-    """Re-scores system subsets with rarity recomputed over just the subset.
-
-    Holds the campaign's hit table and, per usable topic, a systems x docs
-    incidence grid of retrievals within the rarity count depth: a subset's
-    retrieval counts are the column sums of its rows.
-    """
-
-    def __init__(
-        self,
-        campaign: Campaign,
-        spec: MetricSpec,
-        *,
-        rarity_depth: int | None,
-        ap_depth,
-    ):
-        if rarity_depth is not None and rarity_depth < 1:
-            raise DataError(f"count depth must be >= 1 or None, got {rarity_depth}")
-        if not campaign.judged_topics:
-            raise DataError("campaign has no judged topics")
-        self.spec = spec
-        self.rarity_depth = rarity_depth
-        n_rel = {t: campaign.qrels.n_relevant(t) for t in campaign.judged_topics}
-        self.topics = [t for t in n_rel if n_rel[t] or not spec.is_ap_family]
-        self.n_rel = [n_rel[t] for t in self.topics]
-        self.tables = topic_hits(campaign, self.topics, metric_bound(spec, ap_depth))
-        runs = sorted(campaign.runs, key=lambda run: run.system_id)
-        self.incidence: list[np.ndarray] = []
-        for topic, table in zip(self.topics, self.tables):
-            doc_col = {doc: c for c, doc in enumerate(table.docs)}
-            grid = np.zeros((len(runs), len(doc_col)), dtype=bool)
-            for si, run in enumerate(runs):
-                for doc in run.docs(topic)[:rarity_depth]:
-                    if doc in doc_col:
-                        grid[si, doc_col[doc]] = True
-            self.incidence.append(grid)
-
-    def subset_means(self, subset: np.ndarray, spec: MetricSpec | None = None) -> np.ndarray:
-        """Per-system mean scores when only ``subset`` participates.
-
-        ``spec`` defaults to the constructor's; another must differ from it
-        only in alpha, since the tables were extracted for that one.
-        """
-        spec = self.spec if spec is None else spec
-        scores = np.zeros((len(subset), len(self.topics)))
-        for ti, table in enumerate(self.tables):
-            if not table.docs:
-                continue  # nothing hit scores exactly 0
-            columns = table.columns[subset]
-            hit = table.hit[subset]
-            rarity = None
-            if spec.needs_rarity:
-                counts = self.incidence[ti][subset].sum(axis=0)
-                uncounted = columns[hit][counts[columns[hit]] < 1]
-                if uncounted.size:
-                    raise UndefinedRarityError(
-                        f"no sampled system retrieved {table.docs[uncounted[0]]!r} for "
-                        f"topic {self.topics[ti]!r} within count depth {self.rarity_depth}"
-                    )
-                variant = spec.config.rarity_variant
-                rarity = rarity_of_counts(counts, len(subset), variant)[columns]
-            scores[:, ti] = score_hits(
-                spec, table.ranks[subset], hit, rarity, self.n_rel[ti]
-            )
-        return topic_means(scores)
 
 
 def subset_experiment(

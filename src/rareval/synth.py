@@ -30,12 +30,11 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .campaign import _midranks
+from .campaign import _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
 from .rarity import RarityIndex, build_rarity_index
 from .rng import DEFAULT_SEED, substream
-from .stats import _SubsetScorer
 from .trec_io import Campaign, Qrels, Run, RunColumns
 
 _STREAM_TOPIC = 11

@@ -124,25 +124,29 @@ class Run:
         return f"Run(system_id={self.system_id!r}, rankings={self.rankings!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Qrels:
     """Per-topic relevance judgments at their original integer grades.
 
-    The binary view is derived lazily: a document is relevant when its grade
-    is at least ``relevance_threshold``. Unjudged documents are non-relevant.
+    The binary view is derived once, on construction: a document is relevant
+    when its grade is at least ``relevance_threshold``. Unjudged documents are
+    non-relevant.
     """
 
     judgments: dict[str, dict[str, int]]
     relevance_threshold: int = 1
-    _relevant: dict[str, frozenset[str]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _relevant: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.relevance_threshold < 1:
             raise ConfigError(
                 f"relevance threshold must be >= 1, got {self.relevance_threshold}"
             )
+        relevant = {
+            topic: frozenset(d for d, g in by_doc.items() if g >= self.relevance_threshold)
+            for topic, by_doc in self.judgments.items()
+        }
+        object.__setattr__(self, "_relevant", relevant)
 
     @property
     def topics(self) -> tuple[str, ...]:
@@ -153,14 +157,7 @@ class Qrels:
 
     def relevant(self, topic: str) -> frozenset[str]:
         """The set of documents judged at or above the relevance threshold."""
-        cached = self._relevant.get(topic)
-        if cached is None:
-            by_doc = self.judgments.get(topic, {})
-            cached = frozenset(
-                d for d, g in by_doc.items() if g >= self.relevance_threshold
-            )
-            self._relevant[topic] = cached
-        return cached
+        return self._relevant.get(topic, frozenset())
 
     def n_relevant(self, topic: str) -> int:
         return len(self.relevant(topic))
@@ -244,10 +241,6 @@ class Campaign:
             t: dict(d) for t, d in self.qrels.judgments.items() if t in keep
         }
         return Campaign(runs, Qrels(judgments, self.qrels.relevance_threshold))
-
-    def with_run(self, run: Run, qrels: Qrels | None = None) -> "Campaign":
-        """A campaign extended by one more system (optionally with new qrels)."""
-        return Campaign(self.runs + [run], qrels if qrels is not None else self.qrels)
 
 
 def _source_name(source) -> str:

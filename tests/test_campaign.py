@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareval import (
     Campaign,
+    MetricConfig,
     MetricSpec,
     Qrels,
     SynthSpec,
@@ -12,8 +17,8 @@ from rareval import (
     mean_scores,
     rank_systems,
 )
-from rareval.campaign import _midranks
-from rareval.errors import DataError
+from rareval.campaign import _midranks, _SubsetScorer
+from rareval.errors import DataError, UndefinedRarityError
 from scipy.stats import rankdata
 
 from conftest import make_run
@@ -92,13 +97,6 @@ class TestEvaluateCampaign:
         second = evaluate_campaign(campaign, specs)
         for a, b in zip(first, second):
             assert np.array_equal(a.values, b.values)
-
-    def test_n_relevant_override(self, toy4):
-        base = evaluate_campaign(toy4, [MetricSpec.parse("AP")])[0]
-        frozen = evaluate_campaign(
-            toy4, [MetricSpec.parse("AP")], n_relevant_override={"t1": 6}
-        )[0]
-        assert np.allclose(frozen.values * 2, base.values)
 
 
 class TestMeanScores:
@@ -181,3 +179,76 @@ class TestAlphaZeroOrderingInvariance:
                 rank_systems(mean_scores(base)), rank_systems(mean_scores(weighted))
             )
             assert tau == 1.0
+
+
+POOL = [f"d{i}" for i in range(10)]
+
+
+@st.composite
+def tiny_campaigns(draw):
+    """1-6 systems over 1-4 judged topics: rankings of 0-8 pool docs (shared
+    across systems; a system may skip a topic), graded 0-2 judgments,
+    zero-relevant topics allowed."""
+    topics = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    ranking = st.lists(st.sampled_from(POOL), max_size=8, unique=True)
+    runs = [
+        make_run(f"s{i}", {t: draw(ranking) for t in topics if draw(st.integers(0, 3))})
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    judgments = {}
+    for t in topics:
+        # A pool doc is unjudged (None) or graded; one topic in four has no relevant doc.
+        grades = draw(st.lists(st.sampled_from([None, 0, 1, 1, 2]), min_size=10, max_size=10))
+        relevant = draw(st.integers(0, 3)) > 0
+        judgments[t] = {doc: g * relevant for doc, g in zip(POOL, grades) if g is not None}
+    return Campaign(runs, Qrels(judgments))
+
+
+@st.composite
+def metric_specs(draw, kind):
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0])) if kind not in ("p", "ap") else 0.0
+    formulation = "mixture" if kind == "p_mixture" else "additive"
+    variant = draw(st.sampled_from(["eq2", "revised"]))
+    return MetricSpec(kind, MetricConfig(draw(st.integers(1, 8)), alpha, variant, formulation))
+
+
+def outcome(score):
+    """``score()``'s result, or UndefinedRarityError if it raised one."""
+    try:
+        return score()
+    except UndefinedRarityError:
+        return UndefinedRarityError
+
+
+class TestOneScorerProperties:
+    @pytest.mark.parametrize("kind", ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"])
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        rarity_depth=st.sampled_from([None, 1, 2, 3]),
+        ap_depth=st.sampled_from(["cutoff", None]),
+        data=st.data(),
+    )
+    def test_rows_score_as_evaluate_campaign_on_their_runs(
+        self, kind, campaign, rarity_depth, ap_depth, data
+    ):
+        spec = data.draw(metric_specs(kind))
+        ids = campaign.system_ids
+        depths = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
+        scorer = _SubsetScorer(campaign, spec, **depths)
+        if not scorer.kept:  # every topic skipped: nothing to average
+            with pytest.raises(DataError, match="skipped"):
+                mean_scores(evaluate_campaign(campaign, [spec], **depths)[0])
+            return
+        subset = sorted(data.draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
+
+        def evaluated(rows):
+            sub = Campaign([campaign.run_for(ids[i]) for i in rows], campaign.qrels)
+            means = mean_scores(evaluate_campaign(sub, [spec], **depths)[0])
+            return [means[ids[i]] for i in rows]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # revised rarity of a single system
+            for rows in (list(range(len(ids))), subset):
+                fast = outcome(lambda: scorer.subset_means(np.array(rows)).tolist())
+                assert fast == outcome(lambda: evaluated(rows))

@@ -523,6 +523,26 @@ class TestNonFiniteAlpha:
         assert f"alpha must be a finite number, got {value}" in err
 
 
+class TestMetricParameters:
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ("P@3(alpha=9)",
+             "metric parameter 'alpha' does not apply to the base metric in 'P@3(alpha=9)'"),
+            ("P@3_rareness(alpha=0.5,alpha=1)",
+             "metric parameter 'alpha' given twice in 'P@3_rareness(alpha=0.5,alpha=1)'"),
+        ],
+    )
+    def test_exit_2_naming_the_parameter(self, toy_files, capsys, metric, message):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            ["eval", "--metric", metric, "--runs", *runs, "--qrels", qrels], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestRarityDepthFlag:
     @pytest.mark.parametrize("depth", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -442,3 +442,32 @@ class TestMetricSpecParsing:
             MetricSpec.parse("P@10_rareness(alpha=zz)")
         with pytest.raises(ConfigError, match="rarity"):
             MetricSpec.parse("P@10_rareness(rarity=idf)")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("P@5(alpha=9)", "alpha"), ("AP(alpha=0.5,rarity=revised)", "alpha"),
+         ("ap(rarity=eq2)", "rarity")],
+    )
+    def test_base_metrics_reject_parameters(self, text, key):
+        with pytest.raises(ConfigError) as caught:
+            MetricSpec.parse(text)
+        assert f"metric parameter {key!r} does not apply to the base metric" in str(caught.value)
+        assert repr(text) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("P@5_rareness(alpha=0.5,alpha=1)", "alpha"),
+         ("AP_rareness(rarity=eq2, RARITY=revised)", "rarity")],
+    )
+    def test_a_repeated_parameter_is_rejected(self, text, key):
+        with pytest.raises(ConfigError) as caught:
+            MetricSpec.parse(text)
+        assert str(caught.value) == f"metric parameter {key!r} given twice in {text!r}"
+
+    def test_flag_defaults_reach_weighted_metrics_only(self):
+        base = MetricSpec.parse("P@5", default_alpha=0.25, default_variant="revised")
+        weighted = MetricSpec.parse("P@5_mixture", default_alpha=0.25, default_variant="revised")
+        assert base.config.alpha == 0.0
+        assert base.descriptor == "P@5"
+        assert (weighted.config.alpha, weighted.config.rarity_variant) == (0.25, "revised")
+        assert MetricSpec.parse("P@5()") == MetricSpec.parse("P@5")

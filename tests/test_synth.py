@@ -226,7 +226,7 @@ class TestRankTrajectory:
         topic = traj_campaign.judged_topics[0]
         base = traj_campaign.restricted_to_topics([topic])
         run, qrels = make_rare_system(base, topic, 5)
-        extended = base.with_run(run, qrels)
+        extended = Campaign(base.runs + [run], qrels)
         scores = {}
         for alpha in (0.0, 1.0):
             spec = MetricSpec("p_rareness", MetricConfig(cutoff=40, alpha=alpha))
@@ -279,11 +279,11 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *, pa
             pad_to = max(d, config.cutoff)
             if kind == "rare":
                 run, qrels = make_rare_system(base, topic, d, pad=pad, pad_to=pad_to)
-                extended = base.with_run(run, qrels)
+                extended = Campaign(base.runs + [run], qrels)
             else:
                 run = make_common_system(base, topic, d, index=base_index, pad=pad,
                                          pad_to=pad_to)
-                extended = base.with_run(run)
+                extended = Campaign(base.runs + [run], base.qrels)
             matrix = evaluate_campaign(
                 extended, [spec], index=extend_index(base_index, run)
             )[0]

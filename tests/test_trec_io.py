@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -158,6 +159,14 @@ class TestParseQrels:
         qrels = qrels_of("t1 0 d1 1\n")
         assert not qrels.is_relevant("t1", "dX")
         assert qrels.grade("t1", "dX") == 0
+
+    def test_frozen_with_an_empty_set_for_an_unjudged_topic(self):
+        qrels = qrels_of("t1 0 d1 1\n")
+        assert qrels.relevant("t9") == frozenset()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qrels.relevance_threshold = 2
+        assert qrels.with_added("t9", ["d2"]).relevant("t9") == {"d2"}
+        assert qrels.relevant("t9") == frozenset()
 
 
 class TestUndecodableInput:

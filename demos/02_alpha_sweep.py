@@ -9,7 +9,6 @@ more weight on rare finds drags the correlation down.
 from rareval import (
     MetricSpec,
     SynthSpec,
-    build_rarity_index,
     evaluate_campaign,
     generate_campaign,
     kendall_tau,
@@ -28,17 +27,16 @@ campaign = generate_campaign(
         seed=42,
     )
 )
-index = build_rarity_index(campaign)
 alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 print("tau between baseline and rarity-weighted rankings")
 print(f"{'alpha:':16s}" + "  ".join(f"{a:6.2f}" for a in alphas))
 for base_name, weighted in (("P@50", "P@50_rareness"), ("AP", "AP_rareness")):
-    base = evaluate_campaign(campaign, [MetricSpec.parse(base_name)], index=index)[0]
+    base = evaluate_campaign(campaign, [MetricSpec.parse(base_name)])[0]
     base_ranking = rank_systems(mean_scores(base))
     taus = []
     for alpha in alphas:
         spec = MetricSpec.parse(f"{weighted}(alpha={alpha})")
-        matrix = evaluate_campaign(campaign, [spec], index=index)[0]
+        matrix = evaluate_campaign(campaign, [spec])[0]
         taus.append(kendall_tau(base_ranking, rank_systems(mean_scores(matrix))))
     print(f"{weighted:16s}" + "  ".join(f"{t:6.4f}" for t in taus))

@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
-from .rarity import RarityIndex, build_rarity_index, checked_counts, rarity_of_counts
+from .rarity import (
+    RarityIndex, build_rarity_index, check_count_depth, checked_counts, rarity_of_counts
+)
 from .trec_io import Campaign
 
 
@@ -71,9 +73,6 @@ class SystemRanking:
     def ranks_by_system(self) -> dict[str, float]:
         return {e.system_id: e.rank for e in self.entries}
 
-    def means_by_system(self) -> dict[str, float]:
-        return {e.system_id: e.mean_score for e in self.entries}
-
     def rank_of(self, system_id: str) -> float:
         for entry in self.entries:
             if entry.system_id == system_id:
@@ -86,8 +85,7 @@ class _SubsetScorer:
     per judged topic at ``spec``'s scoring depth, rows in ``system_ids`` order."""
 
     def __init__(self, campaign: Campaign, spec: MetricSpec, *, rarity_depth, ap_depth):
-        if rarity_depth is not None and rarity_depth < 1:
-            raise DataError(f"count depth must be >= 1 or None, got {rarity_depth}")
+        check_count_depth(rarity_depth)
         if not campaign.judged_topics:
             raise DataError("campaign has no judged topics")
         self.spec, self.rarity_depth = spec, rarity_depth
@@ -158,18 +156,18 @@ def evaluate_campaign(
     rarity_depth: int | None = None,
     ap_depth: int | None | Literal["cutoff"] = "cutoff",
     exclude_zero_relevant_for_p: bool = False,
-    index: RarityIndex | None = None,
 ) -> list[ScoreMatrix]:
     """Score every system on every judged topic for each metric spec, in one pass.
 
     One scorer serves each scoring depth and the rarity index is built once
-    for all specs (rarity does not depend on alpha); pass ``index`` to reuse
-    a prebuilt one.
+    per call, for all specs (rarity does not depend on alpha).
     """
+    check_count_depth(rarity_depth)
     topics = campaign.judged_topics
     if not topics:
         raise DataError("campaign has no judged topics")
-    if index is None and any(s.needs_rarity for s in specs):
+    index = None
+    if any(s.needs_rarity for s in specs):
         index = build_rarity_index(campaign, rarity_depth)
     scorers: dict[int | None, _SubsetScorer] = {}
     matrices: list[ScoreMatrix] = []

@@ -16,8 +16,10 @@ Results go to stdout as TSV (floats shown with 4 decimals) or, with
 go to stderr; a warning is one ``warning:`` line (one ``error:`` line and exit
 1 under ``-W error``). Exit codes: 0 success, 1 data/format errors, 2 usage errors.
 Seeds default to a fixed constant so flag-free runs are reproducible.
-Trials run serially: ``--threads`` (or ``RAREVAL_THREADS``) is accepted and
-validated but changes nothing.
+Three flags are accepted and change nothing, so older scripts keep working:
+``--threads`` (trials run serially; a non-integer ``RAREVAL_THREADS`` is still
+a usage error for ``stability`` and ``subset``), and ``trajectory``'s ``--pad``
+and ``--freeze-n-rel``.
 """
 
 from __future__ import annotations
@@ -73,18 +75,15 @@ def _emit(args, rows: list[dict]) -> None:
             print("\t".join(_fmt(v) for v in row.values()))
 
 
-def _threads(args) -> int:
-    """The requested thread count, between 1 and the CPU count."""
-    requested = args.threads
-    if requested is None:
-        env = os.environ.get("RAREVAL_THREADS")
-        if not env:
-            return 1
+def _check_threads_env(args) -> None:
+    """Reject a non-integer ``RAREVAL_THREADS`` unless ``--threads`` is given.
+    Neither changes anything: trials run serially."""
+    env = os.environ.get("RAREVAL_THREADS")
+    if args.threads is None and env:
         try:
-            requested = int(env)
+            int(env)
         except ValueError:
             raise ConfigError(f"RAREVAL_THREADS must be an integer, got {env!r}")
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _run_sources(paths: Sequence[str]):
@@ -277,7 +276,7 @@ def _cmd_stability(args) -> int:
     specs = (
         [_parse_metric(args, m) for m in args.metric] if args.metric else _table_metrics(args)
     )
-    _threads(args)  # validated, though trials run serially
+    _check_threads_env(args)
     matrices = evaluate_campaign(
         campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
     )
@@ -317,7 +316,7 @@ def _cmd_subset(args) -> int:
     spec = _parse_metric(
         args, args.metric[0] if args.metric else f"P@{args.cutoff}_rareness"
     )
-    _threads(args)  # validated, though trials run serially
+    _check_threads_env(args)
     rows: list[dict] = []
     for n in _sizes(args.sizes):
         result = subset_experiment(
@@ -376,8 +375,6 @@ def _cmd_trajectory(args) -> int:
         _alpha_grid(args.alphas),
         args.d_max,
         config,
-        pad=args.pad,
-        freeze_n_rel=args.freeze_n_rel,
         multi_topic=args.multi_topic,
         rarity_depth=args.rarity_depth,
     )
@@ -450,8 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ap-depth", choices=["cutoff", "full"], default="cutoff")
     common.add_argument("--json", action="store_true")
     common.add_argument("--threads", type=int, default=None,
-                        help="accepted (or RAREVAL_THREADS) and validated, but "
-                        "changes nothing: trials run serially")
+                        help="accepted; changes nothing (trials run serially)")
     common.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("eval", parents=[inputs, common],
@@ -511,11 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0,0.5,1")
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--pad", choices=["none", "pool-nonrel"], default="pool-nonrel",
-                   help="pad the probe (built once, at --d-max) with non-relevant "
-                   "pooled documents; cannot change a P@k rank")
+                   help="accepted; changes nothing (padding is non-relevant)")
     p.add_argument("--freeze-n-rel", action="store_true",
-                   help="keep AP denominators at their pre-insertion values; cannot "
-                   "change a P@k rank")
+                   help="accepted; changes nothing (P@k does not use the relevant count)")
     p.add_argument("--multi-topic", action="store_true")
     p.set_defaults(func=_cmd_trajectory)
 

@@ -128,8 +128,7 @@ def hit_table(
     doc_col: dict[str, int] = {}
     flat: list[tuple[int, int, int, int]] = []  # (row, slot, rank, column) per hit
     for row, docs in enumerate(rankings):
-        scope = docs if bound is None else docs[: max(bound, 0)]
-        hits = [(rank, doc) for rank, doc in enumerate(scope, 1) if doc in relevant]
+        hits = [(rank, doc) for rank, doc in enumerate(docs[:bound], 1) if doc in relevant]
         flat += [
             (row, slot, rank, doc_col.setdefault(doc, len(doc_col)))
             for slot, (rank, doc) in enumerate(hits)
@@ -192,7 +191,7 @@ def average_precision(
     if n_relevant < 1:
         raise DataError("average precision is undefined for a topic with no relevant docs")
     spec = MetricSpec("ap", MetricConfig(alpha=0.0))
-    return _score_one(spec, docs, relevant, k, n_relevant)
+    return _score_one(spec, docs, relevant, metric_bound(spec, k), n_relevant)
 
 
 def ap_rareness(
@@ -211,7 +210,7 @@ def ap_rareness(
     spec = MetricSpec("ap_rareness", config)  # rejects the mixture formulation
     if n_relevant < 1:
         raise DataError("average precision is undefined for a topic with no relevant docs")
-    bound = config.cutoff if depth is None else depth
+    bound = metric_bound(spec, "cutoff" if depth is None else depth)
     return _score_one(spec, docs, relevant, bound, n_relevant, index, topic)
 
 
@@ -355,7 +354,10 @@ def metric_bound(
     spec: MetricSpec, ap_depth: int | None | Literal["cutoff"] = "cutoff"
 ) -> int | None:
     """How deep ``spec`` scores: the P family to its cutoff, the AP family to
-    ``ap_depth`` (``"cutoff"``: the cutoff, ``None``: everything, or an int)."""
+    ``ap_depth`` (``"cutoff"``: the cutoff, ``None``: everything, or an int
+    of at least 1)."""
+    if ap_depth not in ("cutoff", None) and ap_depth < 1:
+        raise ConfigError(f"AP depth must be >= 1, 'cutoff' or None, got {ap_depth}")
     if spec.is_ap_family and ap_depth != "cutoff":
         return ap_depth
     return spec.config.cutoff

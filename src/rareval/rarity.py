@@ -49,10 +49,15 @@ class RarityIndex:
         return self.counts.get(topic, {})
 
 
-def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> RarityIndex:
-    """Count, per (topic, doc), how many distinct systems retrieve it."""
+def check_count_depth(count_depth: int | None) -> None:
+    """Reject a count depth below 1; ``None`` counts whole runs."""
     if count_depth is not None and count_depth < 1:
         raise DataError(f"count depth must be >= 1 or None, got {count_depth}")
+
+
+def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> RarityIndex:
+    """Count, per (topic, doc), how many distinct systems retrieve it."""
+    check_count_depth(count_depth)
     scopes: dict[str, list[tuple[str, ...]]] = {}
     for run in campaign.runs:
         for topic, columns in run.columns.items():

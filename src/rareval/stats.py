@@ -20,8 +20,7 @@ four such draw arrays, read-only, each trials x sample size bytes (two bytes
 an index above 256 topics), so metrics over the same topics share them. It
 scores each distinct draw once, over blocks of draws sized to a few MB, and
 counts wins as integers, so its results equal the one-trial-at-a-time loop
-bit for bit. Subset trials run one at a time. Nothing runs in threads: the
-``threads`` keyword is accepted and changes nothing.
+bit for bit. Subset trials run one at a time. Nothing runs in threads.
 
 The HSD critical value comes from the studentized-range distribution: its
 CDF is the Copenhaver & Holland (1988) double integral, both integrals on
@@ -289,7 +288,6 @@ def stability(
     config: StabilityConfig,
     *,
     direction: StabilityDirection = "winner",
-    threads: int = 1,
     rarity_depth: int | None = None,
     ap_depth="cutoff",
     matrix: ScoreMatrix | None = None,
@@ -389,7 +387,6 @@ def subset_experiment(
     spec: MetricSpec,
     config: SubsetExperimentConfig,
     *,
-    threads: int = 1,
     rarity_depth: int | None = None,
     ap_depth="cutoff",
 ) -> SubsetResult:

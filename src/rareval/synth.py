@@ -41,7 +41,6 @@ _STREAM_TOPIC = 11
 _STREAM_SKILL = 12
 _STREAM_RANKING = 13
 
-PadPolicy = Literal["none", "pool-nonrel"]
 HypotheticalKind = Literal["rare", "common"]
 
 
@@ -155,47 +154,22 @@ def _fresh_doc_ids(campaign: Campaign, tag: str, count: int) -> list[str]:
     return out
 
 
-def _padded(
-    campaign: Campaign, topic: str, docs: list[str], pad: PadPolicy, pad_to: int
-) -> list[str]:
-    """``docs``, filled to ``pad_to`` with non-relevant documents other systems
-    retrieved for the topic if ``pad`` is ``"pool-nonrel"``."""
-    if pad not in ("none", "pool-nonrel"):
-        raise ConfigError(f"unknown pad policy {pad!r} (expected 'none' or 'pool-nonrel')")
-    if pad == "none" or pad_to <= len(docs):
-        return docs
-    relevant = campaign.qrels.relevant(topic)
-    seen: set[str] = set()
-    for run in campaign.runs:
-        seen.update(run.docs(topic))
-    return docs + sorted(seen - relevant - set(docs))[: pad_to - len(docs)]
-
-
 def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
     return Run.of_columns(tag, {topic: _ranked(docs)})
 
 
 def make_rare_system(
-    campaign: Campaign,
-    topic: str,
-    d: int,
-    *,
-    tag: str = "hyp-rare",
-    pad: PadPolicy = "none",
-    pad_to: int = 0,
+    campaign: Campaign, topic: str, d: int, *, tag: str = "hyp-rare"
 ) -> tuple[Run, Qrels]:
     """A run of ``d`` fresh relevant documents no other system retrieves.
 
     The fresh doc-ids are namespaced under ``tag`` and also returned inside
-    an augmented qrels (judged relevant at the campaign's threshold). With
-    ``pad="pool-nonrel"`` the run is extended to ``pad_to`` entries using
-    non-relevant pooled documents, which cannot change any system's score.
+    an augmented qrels (judged relevant at the campaign's threshold).
     """
     if d < 1:
         raise DataError(f"the probe system needs at least 1 document, got {d}")
     fresh = _fresh_doc_ids(campaign, tag, d)
-    docs = _padded(campaign, topic, fresh, pad, pad_to)
-    return _build_run(tag, topic, docs), campaign.qrels.with_added(topic, fresh)
+    return _build_run(tag, topic, fresh), campaign.qrels.with_added(topic, fresh)
 
 
 def make_common_system(
@@ -205,8 +179,6 @@ def make_common_system(
     *,
     index: RarityIndex | None = None,
     tag: str = "hyp-common",
-    pad: PadPolicy = "none",
-    pad_to: int = 0,
 ) -> Run:
     """A run of the ``d`` most commonly-retrieved relevant documents.
 
@@ -231,8 +203,7 @@ def make_common_system(
             f"only {len(available)} relevant retrieved documents exist for "
             f"topic {topic!r}; cannot take {d}"
         )
-    docs = [doc for doc, _ in available[:d]]
-    return _build_run(tag, topic, _padded(campaign, topic, docs, pad, pad_to))
+    return _build_run(tag, topic, [doc for doc, _ in available[:d]])
 
 
 @dataclass
@@ -252,11 +223,8 @@ def rank_trajectory(
     d_max: int,
     config: MetricConfig | None = None,
     *,
-    pad: PadPolicy = "pool-nonrel",
-    freeze_n_rel: bool = False,
     multi_topic: bool = False,
     rarity_depth: int | None = None,
-    tag: str | None = None,
 ) -> list[TrajectoryResult]:
     """Track the probe system's midrank for each alpha and each D in 1..d_max.
 
@@ -269,9 +237,7 @@ def rank_trajectory(
     The probe is built once, at ``d_max``, and probe D is its first D
     documents: step D scores the base systems plus probe D's row with one
     subset scorer shared by every alpha, over the same S+1 systems a rebuilt
-    campaign would have.
-    Neither ``pad`` nor ``freeze_n_rel`` can change a rank: padding is
-    non-relevant, and P@k does not use N_R.
+    campaign would have. The probe is named ``hyp-<kind>``.
     """
     if kind not in ("rare", "common"):
         raise ConfigError(f"unknown probe kind {kind!r} (expected 'rare' or 'common')")
@@ -281,8 +247,7 @@ def rank_trajectory(
         raise DataError(f"topic {topic!r} is not judged in the qrels")
     if config is None:
         config = MetricConfig()
-    if tag is None:
-        tag = f"hyp-{kind}"
+    tag = f"hyp-{kind}"
 
     kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
     specs = [MetricSpec(kind_key, dataclasses.replace(config, alpha=float(a))) for a in alphas]
@@ -291,12 +256,11 @@ def rank_trajectory(
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
     if tag in base.system_ids:
         raise FormatError(f"duplicate system id {tag!r}")
-    # Padding is left out: it is non-relevant, so no hit table or count sees it.
     if kind == "rare":
-        probe, qrels = make_rare_system(base, topic, d_max, tag=tag, pad=pad)
+        probe, qrels = make_rare_system(base, topic, d_max, tag=tag)
     else:
         index = build_rarity_index(base, rarity_depth)
-        probe = make_common_system(base, topic, d_max, index=index, tag=tag, pad=pad)
+        probe = make_common_system(base, topic, d_max, index=index, tag=tag)
         qrels = base.qrels
     docs = probe.docs(topic)
     probes = [_build_run(f"{tag} D={d}", topic, docs[:d]) for d in range(1, d_max + 1)]

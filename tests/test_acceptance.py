@@ -239,15 +239,14 @@ def test_c5_tau_sweep_trend():
     campaign = generate_campaign(
         SynthSpec(30, 8, 30, 600, overlap_bias=0.5, run_depth=50, seed=42)
     )
-    index = build_rarity_index(campaign)
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     for base_name, weighted_name in (("P@50", "P@50_rareness"), ("AP", "AP_rareness")):
-        base = evaluate_campaign(campaign, [MetricSpec.parse(base_name)], index=index)[0]
+        base = evaluate_campaign(campaign, [MetricSpec.parse(base_name)])[0]
         base_ranking = rank_systems(mean_scores(base))
         taus = []
         for alpha in grid:
             spec = MetricSpec.parse(f"{weighted_name}(alpha={alpha})")
-            matrix = evaluate_campaign(campaign, [spec], index=index)[0]
+            matrix = evaluate_campaign(campaign, [spec])[0]
             taus.append(kendall_tau(base_ranking, rank_systems(mean_scores(matrix))))
         assert taus[0] == 1.0
         for earlier, later in zip(taus, taus[1:]):
@@ -345,17 +344,12 @@ def test_c8_stability_protocol():
     assert planted.per_pair[("A", "B")] == max(wins, config.trials - wins) / config.trials
     assert planted.per_pair[("A", "B")] == pytest.approx(0.7, abs=0.05)
 
-    # Thread counts are invisible in the results.
     campaign = generate_campaign(
         SynthSpec(10, 8, 12, 200, overlap_bias=0.5, run_depth=30, seed=21)
     )
     weighted = MetricSpec.parse("P@30_rareness(alpha=1)")
-    config = StabilityConfig(4, trials=200, seed=13)
-    single = stability(campaign, weighted, config, threads=1)
-    multi = stability(campaign, weighted, config, threads=4)
-    assert single.per_pair == multi.per_pair
-    assert single.overall == multi.overall
-    assert 0.5 <= single.overall <= 1.0
+    result = stability(campaign, weighted, StabilityConfig(4, trials=200, seed=13))
+    assert 0.5 <= result.overall <= 1.0
     announce(8, "stability protocol")
 
 

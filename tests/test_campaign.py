@@ -18,7 +18,7 @@ from rareval import (
     rank_systems,
 )
 from rareval.campaign import _midranks, _SubsetScorer
-from rareval.errors import DataError, UndefinedRarityError
+from rareval.errors import ConfigError, DataError, UndefinedRarityError
 from scipy.stats import rankdata
 
 from conftest import make_run
@@ -44,6 +44,11 @@ class TestEvaluateCampaign:
         matrix = evaluate_campaign(campaign, [MetricSpec.parse("P@3")])[0]
         t1 = matrix.topics.index("t1")
         assert row(matrix, "E")[t1] == 0.0
+
+    @pytest.mark.parametrize("ap_depth", [0, -3])
+    def test_nonpositive_ap_depth_rejected(self, toy4, ap_depth):
+        with pytest.raises(ConfigError, match=f"AP depth must be >= 1.*got {ap_depth}"):
+            evaluate_campaign(toy4, [MetricSpec.parse("AP")], ap_depth=ap_depth)
 
     def test_shared_index_across_alphas(self, toy4):
         specs = [

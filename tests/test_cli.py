@@ -17,7 +17,7 @@ from rareval import (
     stability,
     subset_experiment,
 )
-from rareval.cli import _threads, build_parser, dispatch
+from rareval.cli import dispatch
 from rareval.errors import ConfigError
 from rareval.rng import MAX_SEED, substream
 
@@ -413,22 +413,34 @@ class TestSeedRange:
             generate_campaign(SynthSpec(2, 1, 1, 5, overlap_bias=0.5, run_depth=2, seed=seed))
 
 
-class TestThreadCap:
-    def _args(self, *extra):
-        return build_parser().parse_args(
-            ["stability", "--runs", "r", "--qrels", "q", *extra]
-        )
+class TestThreadsEnvironment:
+    """RAREVAL_THREADS changes nothing, but a non-integer value is a usage
+    error unless --threads is given."""
 
-    def test_flag_and_env_are_capped_at_the_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+    def _argv(self, command, toy_files):
+        runs, qrels = toy_files
+        extra = ["--sizes", "2"] if command == "subset" else ["--sample-size", "1"]
+        return [command, "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+                "--metric", "P@3", "--trials", "5", *extra]
+
+    @pytest.mark.parametrize("command", ["stability", "subset"])
+    def test_non_integer_exits_2_naming_the_variable(
+        self, toy_files, capsys, monkeypatch, command
+    ):
+        monkeypatch.setenv("RAREVAL_THREADS", "x")
+        code, out, err = run_cli(self._argv(command, toy_files), capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: RAREVAL_THREADS must be an integer, got 'x'\n"
+
+    @pytest.mark.parametrize("command", ["stability", "subset"])
+    def test_the_flag_wins_over_the_variable(self, toy_files, capsys, monkeypatch, command):
         monkeypatch.delenv("RAREVAL_THREADS", raising=False)
-        assert _threads(self._args()) == 1
-        assert _threads(self._args("--threads", "1000000")) == 2
-        assert _threads(self._args("--threads", "0")) == 1
-        monkeypatch.setenv("RAREVAL_THREADS", "1000000")
-        assert _threads(self._args()) == 2
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert _threads(self._args()) == 1
+        _, expected, _ = run_cli(self._argv(command, toy_files), capsys)
+        monkeypatch.setenv("RAREVAL_THREADS", "x")
+        code, out, _ = run_cli(self._argv(command, toy_files) + ["--threads", "2"], capsys)
+        assert code == 0
+        assert out == expected
 
 
 class TestSubsetCommand:
@@ -456,6 +468,19 @@ class TestSubsetCommand:
         assert lines[0].startswith("2\t")
         assert lines[1] == "4\t1.0000\t30"
 
+    def test_threads_change_nothing(self, toy_files, capsys, monkeypatch):
+        runs, qrels = toy_files
+        argv = ["subset", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+                "--sizes", "2,3", "--trials", "30"]
+        monkeypatch.delenv("RAREVAL_THREADS", raising=False)
+        _, expected, _ = run_cli(argv, capsys)
+        _, flagged, _ = run_cli(argv + ["--threads", "3"], capsys)
+        monkeypatch.setenv("RAREVAL_THREADS", "2")
+        _, from_env, _ = run_cli(argv, capsys)
+        assert expected.startswith("2\t")
+        assert flagged == expected
+        assert from_env == expected
+
 
 class TestTrajectoryCommand:
     def test_rows_and_json_d_star(self, toy_files, capsys):
@@ -472,6 +497,33 @@ class TestTrajectoryCommand:
         code, json_out, _ = run_cli(argv + ["--json"], capsys)
         payload = json.loads(json_out)
         assert set(payload["d_star"]) == {"0.0", "1.0"}
+
+    @pytest.mark.parametrize(
+        "flags", [["--pad", "none"], ["--pad", "pool-nonrel"], ["--freeze-n-rel"]]
+    )
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["tsv", "json"])
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_pad_and_freeze_n_rel_change_nothing(self, toy_files, capsys, kind, output, flags):
+        runs, qrels = toy_files
+        argv = ["trajectory", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+                "--kind", kind, "--topic", "t1", "--alphas", "0,0.5,1", "--d-max", "3",
+                *output]
+        code, expected, _ = run_cli(argv, capsys)
+        assert code == 0 and expected
+        code, out, _ = run_cli(argv + flags, capsys)
+        assert code == 0
+        assert out == expected
+
+    def test_unknown_pad_exits_2(self, toy_files, capsys):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            ["trajectory", "--runs", *runs, "--qrels", qrels, "--kind", "rare",
+             "--topic", "t1", "--d-max", "3", "--pad", "bogus"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--pad" in err and "'bogus'" in err
 
 
 class TestDiscpowerCommand:

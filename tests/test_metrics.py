@@ -147,6 +147,11 @@ class TestAveragePrecision:
         assert average_precision(docs, {"hit"}, None, 1) == pytest.approx(1 / 11)
         assert average_precision(docs, {"hit"}, 5, 1) == 0.0
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_depth_rejected(self, k):
+        with pytest.raises(ConfigError, match=f"got {k}"):
+            average_precision(("d1",), {"d1"}, k, 5)
+
 
 class TestApRareness:
     def test_alpha_zero_reverts_exactly(self, toy4_parts):
@@ -168,6 +173,13 @@ class TestApRareness:
         toy4, index, relevant = toy4_parts
         config = MetricConfig(cutoff=3, alpha=1.0)
         assert ap_rareness(("x", "y"), relevant, index, "t1", config, 3) == 0.0
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_nonpositive_depth_rejected(self, toy4_parts, depth):
+        toy4, index, relevant = toy4_parts
+        config = MetricConfig(cutoff=3, alpha=1.0)
+        with pytest.raises(ConfigError, match=f"got {depth}"):
+            ap_rareness(("d1",), relevant, index, "t1", config, 3, depth=depth)
 
 
 class TestMixture:

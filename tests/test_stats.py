@@ -16,6 +16,7 @@ from rareval import (
     StabilityConfig,
     SubsetExperimentConfig,
     SynthSpec,
+    build_rarity_index,
     discriminative_power,
     evaluate_campaign,
     generate_campaign,
@@ -300,14 +301,6 @@ class TestStability:
         assert result.per_pair[("A", "B")] == expected
         assert result.per_pair[("A", "B")] == pytest.approx(0.7, abs=0.05)
 
-    def test_thread_count_never_changes_results(self, hetero_campaign):
-        spec = MetricSpec.parse("P@30_rareness(alpha=1)")
-        config = StabilityConfig(4, trials=120, seed=5)
-        single = stability(hetero_campaign, spec, config, threads=1)
-        multi = stability(hetero_campaign, spec, config, threads=4)
-        assert single.per_pair == multi.per_pair
-        assert single.overall == multi.overall
-
     def test_overall_within_bounds_and_relabel_invariant(self, hetero_campaign):
         spec = MetricSpec.parse("P@30_rareness(alpha=1)")
         result = stability(hetero_campaign, spec, StabilityConfig(4, trials=80, seed=5))
@@ -544,11 +537,11 @@ class TestSubsetExperiment:
                 ap_depth="cutoff",
             )
 
-    def test_seeded_determinism_and_thread_invariance(self, hetero_campaign):
+    def test_seeded_determinism(self, hetero_campaign):
         spec = MetricSpec.parse("AP_rareness(alpha=1)")
         config = SubsetExperimentConfig(4, trials=60, seed=13)
-        one = subset_experiment(hetero_campaign, spec, config, threads=1)
-        two = subset_experiment(hetero_campaign, spec, config, threads=3)
+        one = subset_experiment(hetero_campaign, spec, config)
+        two = subset_experiment(hetero_campaign, spec, config)
         assert one.mean_tau == two.mean_tau
         assert one.resamples == two.resamples
 
@@ -578,3 +571,26 @@ class TestSubsetExperiment:
         assert discriminative_power(matrices[0], 0.95) == discriminative_power(
             matrices[1], 0.95
         )
+
+
+# Every entry point that counts retrievals rejects a count depth below 1, with
+# the one message, even for a base metric that reads no counts.
+_COUNT_DEPTH_ENTRIES = {
+    "evaluate_campaign": lambda c, d: evaluate_campaign(
+        c, [MetricSpec.parse("P@3")], rarity_depth=d
+    ),
+    "stability": lambda c, d: stability(
+        c, MetricSpec.parse("P@3"), StabilityConfig(1, trials=5), rarity_depth=d
+    ),
+    "subset_experiment": lambda c, d: subset_experiment(
+        c, MetricSpec.parse("P@3"), SubsetExperimentConfig(2, trials=5), rarity_depth=d
+    ),
+    "build_rarity_index": build_rarity_index,
+}
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+@pytest.mark.parametrize("entry", sorted(_COUNT_DEPTH_ENTRIES))
+def test_nonpositive_count_depth_rejected_by_every_entry(toy4, entry, depth):
+    with pytest.raises(DataError, match=f"count depth must be >= 1 or None, got {depth}$"):
+        _COUNT_DEPTH_ENTRIES[entry](toy4, depth)

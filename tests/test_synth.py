@@ -134,13 +134,6 @@ class TestMakeRareSystem:
         run, _ = make_rare_system(campaign, "t1", 2)
         assert run.docs("t1") == ("hyp-rare-0001", "hyp-rare-0003")
 
-    def test_padding_fills_with_nonrelevant_pool_docs(self, toy4):
-        run, qrels = make_rare_system(toy4, "t1", 2, pad="pool-nonrel", pad_to=5)
-        docs = run.docs("t1")
-        assert len(docs) == 5
-        for doc in docs[2:]:
-            assert not qrels.is_relevant("t1", doc)
-
 
 class TestMakeCommonSystem:
     def test_toy4_top3(self, toy4):
@@ -211,17 +204,6 @@ class TestRankTrajectory:
         result = rank_trajectory(traj_campaign, "rare", topic, [1.0], 2, config)[0]
         assert result.d_star is None
 
-    def test_padding_policy_cannot_move_ranks(self, traj_campaign):
-        topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
-        padded = rank_trajectory(
-            traj_campaign, "rare", topic, [1.0], 6, config, pad="pool-nonrel"
-        )[0]
-        bare = rank_trajectory(
-            traj_campaign, "rare", topic, [1.0], 6, config, pad="none"
-        )[0]
-        assert padded.ranks == bare.ranks
-
     def test_positive_alpha_beats_own_alpha_zero_score(self, traj_campaign):
         topic = traj_campaign.judged_topics[0]
         base = traj_campaign.restricted_to_topics([topic])
@@ -253,19 +235,8 @@ class TestRankTrajectory:
         )[0]
         assert all(m >= s for (_, s), (_, m) in zip(single.ranks, multi.ranks))
 
-    def test_freeze_n_rel_only_matters_for_ap(self, traj_campaign):
-        topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
-        frozen = rank_trajectory(
-            traj_campaign, "rare", topic, [1.0], 4, config, freeze_n_rel=True
-        )[0]
-        plain = rank_trajectory(
-            traj_campaign, "rare", topic, [1.0], 4, config
-        )[0]
-        assert frozen.ranks == plain.ranks
 
-
-def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *, pad,
+def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *,
                              multi_topic, rarity_depth):
     """Ranks from a fresh probe, campaign, index and evaluation per (alpha, D)."""
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
@@ -276,17 +247,13 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *, pa
         spec = MetricSpec(kind_key, dataclasses.replace(config, alpha=alpha))
         ranks = []
         for d in range(1, d_max + 1):
-            pad_to = max(d, config.cutoff)
             if kind == "rare":
-                run, qrels = make_rare_system(base, topic, d, pad=pad, pad_to=pad_to)
+                run, qrels = make_rare_system(base, topic, d)
                 extended = Campaign(base.runs + [run], qrels)
             else:
-                run = make_common_system(base, topic, d, index=base_index, pad=pad,
-                                         pad_to=pad_to)
+                run = make_common_system(base, topic, d, index=base_index)
                 extended = Campaign(base.runs + [run], base.qrels)
-            matrix = evaluate_campaign(
-                extended, [spec], index=extend_index(base_index, run)
-            )[0]
+            matrix = evaluate_campaign(extended, [spec], rarity_depth=rarity_depth)[0]
             ranks.append((d, rank_systems(mean_scores(matrix)).rank_of(run.system_id)))
         out.append(ranks)
     return out
@@ -295,16 +262,15 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *, pa
 class TestTrajectoryMatchesRebuild:
     @pytest.mark.parametrize("rarity_depth", [None, 12])
     @pytest.mark.parametrize("multi_topic", [False, True])
-    @pytest.mark.parametrize("pad", ["none", "pool-nonrel"])
     @pytest.mark.parametrize("kind", ["rare", "common"])
     def test_ranks_equal_a_rebuild_per_alpha_and_d(
-        self, traj_campaign, kind, pad, multi_topic, rarity_depth
+        self, traj_campaign, kind, multi_topic, rarity_depth
     ):
         # The cutoff stays within the count depth, so every scored hit has a rarity.
         topic = traj_campaign.judged_topics[0]
         config = MetricConfig(cutoff=12)
         alphas = [0.0, 0.5, 1.0, 3.0]
-        options = dict(pad=pad, multi_topic=multi_topic, rarity_depth=rarity_depth)
+        options = dict(multi_topic=multi_topic, rarity_depth=rarity_depth)
         with pytest.warns(UserWarning, match="recommended"):
             results = rank_trajectory(traj_campaign, kind, topic, alphas, 8, config, **options)
         with pytest.warns(UserWarning, match="recommended"):
@@ -342,7 +308,6 @@ class TestTrajectoryProperties:
         kind=st.sampled_from(["rare", "common"]),
         formulation=st.sampled_from(["additive", "mixture"]),
         variant=st.sampled_from(["eq2", "revised"]),
-        pad=st.sampled_from(["none", "pool-nonrel"]),
         multi_topic=st.booleans(),
         rarity_depth=st.none() | st.integers(1, 4),
         cutoff=st.integers(1, 6),
@@ -350,12 +315,12 @@ class TestTrajectoryProperties:
         alphas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3),
     )
     def test_equals_a_rebuild_per_alpha_and_d(
-        self, campaign, kind, formulation, variant, pad, multi_topic, rarity_depth,
+        self, campaign, kind, formulation, variant, multi_topic, rarity_depth,
         cutoff, d_max, alphas,
     ):
         config = MetricConfig(cutoff, 0.0, variant, formulation)
         topic = campaign.judged_topics[0]
-        options = dict(pad=pad, multi_topic=multi_topic, rarity_depth=rarity_depth)
+        options = dict(multi_topic=multi_topic, rarity_depth=rarity_depth)
         try:
             expected = rebuilt_trajectory_ranks(
                 campaign, kind, topic, alphas, d_max, config, **options
@@ -371,11 +336,6 @@ class TestTrajectoryProperties:
         assert [r.d_star for r in results] == [
             next((d for d, rank in ranks if rank == 1.0), None) for ranks in expected
         ]
-
-    def test_unknown_pad_policy_rejected(self, traj_campaign):
-        topic = traj_campaign.judged_topics[0]
-        with pytest.raises(ConfigError, match="pad policy 'bogus'"):
-            rank_trajectory(traj_campaign, "rare", topic, [0.0], 3, pad="bogus")
 
     def test_base_system_named_like_the_probe_rejected(self, toy4):
         campaign = Campaign(toy4.runs + [make_run("hyp-rare", {"t1": ["d2"]})], toy4.qrels)

@@ -233,7 +233,50 @@ class TestLoadCampaign:
         assert campaign.topic_coverage() == {"s": frozenset({"t1", "t2"})}
 
 
+_ID_CHARS = st.sampled_from("abdQXZ019-_.:/#")
+_WIDE_ID_CHARS = (
+    _ID_CHARS
+    | st.sampled_from(["\x00", "\x7f", "é", "日", "\U0001f600"])
+    | st.characters(blacklist_categories=("Cs",)).filter(lambda ch: not ch.isspace())
+)
+_SCORES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.5]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def run_texts(draw):
+    """Run text of 1-3 topics x 1-8 docs in shuffled line order: ids without
+    whitespace, either all ASCII (read by the fast pass) or mixed with
+    non-ASCII and NUL (read by the line parser); scores from a small tied
+    set with both zeros and the extreme finite values; any int64 rank."""
+    ids = st.text(draw(st.sampled_from([_ID_CHARS, _WIDE_ID_CHARS])), min_size=1, max_size=5)
+    tag = draw(ids)
+    ranks = st.integers(-(2**63), 2**63 - 1)
+    lines = [
+        f"{topic} Q0 {doc} {draw(ranks)} {draw(_SCORES)!r} {tag}"
+        for topic in draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+        for doc in draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    ]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
 class TestRoundTrip:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(text=run_texts(), order=st.sampled_from(["score", "rank-field"]))
+    def test_parse_of_format_is_the_identity(self, text, order):
+        def parse(text):
+            data = io.BytesIO(text.encode("utf-8"))
+            return parse_run_file(io.TextIOWrapper(data, encoding="utf-8"), order=order)
+
+        run = parse(text)
+        written = format_run(run)
+        again = parse(written)
+        assert again == run
+        for topic, columns in run.columns.items():  # bitwise, so -0.0 stays -0.0
+            assert again.columns[topic].scores.tobytes() == columns.scores.tobytes()
+        assert format_run(again) == written
+
     def test_parse_format_parse_is_identity(self):
         text = (
             "t1 Q0 d1 1 9.5 sysA\n"

@@ -8,10 +8,10 @@ precision family scores them unless the same exclusion is requested.
 
 One scorer, ``_SubsetScorer``, scores rows of a campaign's hit tables with the
 one metric formula, ``metrics.score_hits``, which sums gains in rank order.
-``evaluate_campaign`` runs it over every row with counts from the rarity
-index; the subset experiment (``stats``) and the probe trajectory (``synth``)
-run it over row subsets with counts over just those rows, so all agree bit
-for bit.
+Rarity counts are column sums of its incidence grid over the scored rows:
+``evaluate_campaign`` runs it over every row, the subset experiment
+(``stats``) and the probe trajectory (``synth``) over row subsets, so all
+agree bit for bit and none builds a rarity index.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
-from .rarity import (
-    RarityIndex, build_rarity_index, check_count_depth, checked_counts, rarity_of_counts
-)
+from .rarity import check_count_depth, rarity_of_counts
 from .trec_io import Campaign
 
 
@@ -110,14 +108,13 @@ class _SubsetScorer:
             grid = np.zeros((len(self.runs), len(doc_col)), dtype=bool)
             for si, run in enumerate(self.runs):
                 scope = run.docs(topic)[: self.rarity_depth]
-                grid[si, [doc_col[doc] for doc in scope if doc in doc_col]] = True
+                grid[si, [doc_col[doc] for doc in doc_col.keys() & scope]] = True
             grids.append(grid)
         return grids
 
-    def scores(self, rows: np.ndarray, spec: MetricSpec, index: RarityIndex | None = None):
+    def scores(self, rows: np.ndarray, spec: MetricSpec):
         """The ``rows`` x judged-topics scores of ``spec`` (scoring to the
-        constructor's depth), with rarity counted in ``index`` if given, else
-        over just ``rows``."""
+        constructor's depth), with rarity counted over just ``rows``."""
         values = np.zeros((len(rows), len(self.topics)))
         for ti, (topic, table) in enumerate(zip(self.topics, self.tables)):
             if not table.docs:
@@ -125,17 +122,14 @@ class _SubsetScorer:
             columns, hit = table.columns[rows], table.hit[rows]
             rarity = None
             if spec.needs_rarity:
-                if index is not None:
-                    counts, total = checked_counts(index, topic, table.docs), index.total_systems
-                else:
-                    counts, total = self.incidence[ti][rows].sum(axis=0), len(rows)
-                    uncounted = columns[hit][counts[columns[hit]] < 1]
-                    if uncounted.size:
-                        raise UndefinedRarityError(
-                            f"no sampled system retrieved {table.docs[uncounted[0]]!r} for "
-                            f"topic {topic!r} within count depth {self.rarity_depth}"
-                        )
-                rarity = rarity_of_counts(counts, total, spec.config.rarity_variant)[columns]
+                counts = self.incidence[ti][rows].sum(axis=0)
+                uncounted = columns[hit][counts[columns[hit]] < 1]
+                if uncounted.size:
+                    raise UndefinedRarityError(
+                        f"no scored system retrieved {table.docs[uncounted[0]]!r} for "
+                        f"topic {topic!r} within count depth {self.rarity_depth}"
+                    )
+                rarity = rarity_of_counts(counts, len(rows), spec.config.rarity_variant)[columns]
             values[:, ti] = score_hits(spec, table.ranks[rows], hit, rarity, self.n_rel[ti])
         return values
 
@@ -159,26 +153,24 @@ def evaluate_campaign(
 ) -> list[ScoreMatrix]:
     """Score every system on every judged topic for each metric spec, in one pass.
 
-    One scorer serves each scoring depth and the rarity index is built once
-    per call, for all specs (rarity does not depend on alpha).
+    One scorer serves each scoring depth, for all specs (rarity does not
+    depend on alpha); rarity counts over all its rows, so no index is built.
     """
     check_count_depth(rarity_depth)
     topics = campaign.judged_topics
     if not topics:
         raise DataError("campaign has no judged topics")
-    index = None
-    if any(s.needs_rarity for s in specs):
-        index = build_rarity_index(campaign, rarity_depth)
+    depths = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
     scorers: dict[int | None, _SubsetScorer] = {}
     matrices: list[ScoreMatrix] = []
     for spec in specs:
         bound = metric_bound(spec, ap_depth)
-        if bound not in scorers:  # counts come from the index: no grid depth
-            scorers[bound] = _SubsetScorer(campaign, spec, rarity_depth=None, ap_depth=ap_depth)
+        if bound not in scorers:
+            scorers[bound] = _SubsetScorer(campaign, spec, **depths)
         scorer = scorers[bound]
         skip_empty = spec.is_ap_family or exclude_zero_relevant_for_p
         skipped = frozenset(t for t, n in zip(topics, scorer.n_rel) if skip_empty and n == 0)
-        values = scorer.scores(np.arange(campaign.n_systems), spec, index)
+        values = scorer.scores(np.arange(campaign.n_systems), spec)
         matrices.append(
             ScoreMatrix(spec.descriptor, campaign.system_ids, topics, values, skipped)
         )

@@ -529,8 +529,9 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "rarity_depth", None) is not None and args.rarity_depth < 1:
-            raise ConfigError(f"--rarity-depth must be >= 1, got {args.rarity_depth}")
+        for flag in ("cutoff", "rarity_depth", "d_max"):
+            if (value := getattr(args, flag, None)) is not None and value < 1:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
         with warnings.catch_warnings():  # each warning as one line, no source echo
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr

@@ -34,4 +34,4 @@ class ConfigError(RarevalError):
 
 
 class UndefinedRarityError(DataError):
-    """Rarity was requested for a document no indexed system retrieved."""
+    """Rarity was requested for a document no counted system retrieved."""

@@ -14,13 +14,13 @@ plus a bounded mixture form ``P@k_mixture``:
 The formula is written once, in ``score_hits``, and it has two callers: the
 per-cell functions here and the one campaign scorer in ``campaign``, which
 serves ``evaluate_campaign``, the subset experiment in ``stats`` and the
-probe trajectory in ``synth``. The rarity of a hit comes from
-``rarity.rarity_of_counts``. Both callers sum gains in rank order, so
-setting ``alpha = 0`` reverts every weighted form to its standard
-counterpart bit-for-bit: a zero alpha contributes exactly ``0.0`` per term,
-and the two agree with each other to the last bit. Positions past the end of a
-ranking count as non-relevant, and non-relevant or unjudged documents
-contribute nothing no matter how rare they are.
+probe trajectory in ``synth``. A hit's rarity is ``rarity.rarity_of_counts``
+of counts in a caller's rarity index here, of the scorer's grid over the
+scored rows there. Both callers sum gains in rank order, so ``alpha = 0``
+reverts every weighted form to its standard counterpart bit-for-bit: a zero
+alpha contributes exactly ``0.0`` per term, and the two agree with each other
+to the last bit. Positions past the end of a ranking count as non-relevant,
+and non-relevant or unjudged documents contribute nothing however rare.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import AbstractSet, Literal, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, checked_counts, rarity_of_counts
+from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, checked_counts, is_depth
+from .rarity import rarity_of_counts
 
 Formulation = Literal["additive", "mixture"]
 
@@ -356,8 +357,8 @@ def metric_bound(
     """How deep ``spec`` scores: the P family to its cutoff, the AP family to
     ``ap_depth`` (``"cutoff"``: the cutoff, ``None``: everything, or an int
     of at least 1)."""
-    if ap_depth not in ("cutoff", None) and ap_depth < 1:
-        raise ConfigError(f"AP depth must be >= 1, 'cutoff' or None, got {ap_depth}")
+    if ap_depth not in ("cutoff", None) and not is_depth(ap_depth):
+        raise ConfigError(f"AP depth must be >= 1, 'cutoff' or None, got {ap_depth!r}")
     if spec.is_ap_family and ap_depth != "cutoff":
         return ap_depth
     return spec.config.cutoff

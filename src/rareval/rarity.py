@@ -49,10 +49,15 @@ class RarityIndex:
         return self.counts.get(topic, {})
 
 
+def is_depth(value) -> bool:
+    """Whether ``value`` is an integer of at least 1 (numpy's too, not a bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 def check_count_depth(count_depth: int | None) -> None:
-    """Reject a count depth below 1; ``None`` counts whole runs."""
-    if count_depth is not None and count_depth < 1:
-        raise DataError(f"count depth must be >= 1 or None, got {count_depth}")
+    """Reject a count depth other than an integer >= 1; ``None`` counts whole runs."""
+    if count_depth is not None and not is_depth(count_depth):
+        raise DataError(f"count depth must be >= 1 or None, got {count_depth!r}")
 
 
 def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> RarityIndex:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from rareval import Campaign, Qrels, Run, RunEntry
+from rareval import Campaign, MetricConfig, MetricSpec, Qrels, Run, RunEntry
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -39,3 +40,34 @@ def toy4() -> Campaign:
         make_run("D", {"t1": ["d1", "d4", "d5"]}),
     ]
     return Campaign(runs, Qrels({"t1": {"d1": 1, "d2": 1, "d3": 1}}))
+
+
+POOL = [f"d{i}" for i in range(10)]
+
+
+@st.composite
+def tiny_campaigns(draw):
+    """1-6 systems over 1-4 judged topics: rankings of 0-8 pool docs (shared
+    across systems; a system may skip a topic), graded 0-2 judgments,
+    zero-relevant topics allowed."""
+    topics = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    ranking = st.lists(st.sampled_from(POOL), max_size=8, unique=True)
+    runs = [
+        make_run(f"s{i}", {t: draw(ranking) for t in topics if draw(st.integers(0, 3))})
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    judgments = {}
+    for t in topics:
+        # A pool doc is unjudged (None) or graded; one topic in four has no relevant doc.
+        grades = draw(st.lists(st.sampled_from([None, 0, 1, 1, 2]), min_size=10, max_size=10))
+        relevant = draw(st.integers(0, 3)) > 0
+        judgments[t] = {doc: g * relevant for doc, g in zip(POOL, grades) if g is not None}
+    return Campaign(runs, Qrels(judgments))
+
+
+@st.composite
+def metric_specs(draw, kind):
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0])) if kind not in ("p", "ap") else 0.0
+    formulation = "mixture" if kind == "p_mixture" else "additive"
+    variant = draw(st.sampled_from(["eq2", "revised"]))
+    return MetricSpec(kind, MetricConfig(draw(st.integers(1, 8)), alpha, variant, formulation))

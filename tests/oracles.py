@@ -145,3 +145,35 @@ def campaign_to_plain(campaign):
     }
     relevant = {t: set(campaign.qrels.relevant(t)) for t in campaign.qrels.topics}
     return runs_docs, relevant
+
+
+def oracle_matrix(campaign, spec, rarity_depth, ap_depth):
+    """Brute-force systems x topics values for ``spec``, and whether a scored
+    relevant document has no retrieval within ``rarity_depth``."""
+    runs_docs, relevant_by_topic = campaign_to_plain(campaign)
+    cfg = spec.config
+    k, alpha, variant = cfg.cutoff, cfg.alpha, cfg.rarity_variant
+    values = np.zeros((campaign.n_systems, len(campaign.judged_topics)))
+    undefined = False
+    for si, system in enumerate(campaign.system_ids):
+        for ti, topic in enumerate(campaign.judged_topics):
+            relevant = relevant_by_topic[topic]
+            n_rel = len(relevant)
+            docs = runs_docs[system].get(topic, [])
+            if spec.is_ap_family and n_rel == 0:
+                continue
+            bound = k if ap_depth == "cutoff" or not spec.is_ap_family else len(docs)
+            if spec.needs_rarity and any(
+                naive_count_retrievers(runs_docs, topic, d, rarity_depth) == 0
+                for d in docs[:bound] if d in relevant
+            ):
+                undefined = True
+            args = (runs_docs, system, topic, relevant, bound, alpha, variant)
+            values[si, ti] = {
+                "p": lambda: naive_p_at_k(docs, relevant, k),
+                "ap": lambda: naive_ap(docs, relevant, bound, n_rel),
+                "p_rareness": lambda: naive_p_at_k_rareness(*args, rarity_depth),
+                "p_mixture": lambda: naive_p_at_k_mixture(*args, rarity_depth),
+                "ap_rareness": lambda: naive_ap_rareness(*args, n_rel, rarity_depth),
+            }[spec.kind]()
+    return values, undefined

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rareval.rarity
 from rareval import (
     Campaign,
-    MetricConfig,
     MetricSpec,
     Qrels,
     SynthSpec,
@@ -21,7 +21,7 @@ from rareval.campaign import _midranks, _SubsetScorer
 from rareval.errors import ConfigError, DataError, UndefinedRarityError
 from scipy.stats import rankdata
 
-from conftest import make_run
+from conftest import make_run, metric_specs, tiny_campaigns
 
 
 def row(matrix, system):
@@ -49,6 +49,22 @@ class TestEvaluateCampaign:
     def test_nonpositive_ap_depth_rejected(self, toy4, ap_depth):
         with pytest.raises(ConfigError, match=f"AP depth must be >= 1.*got {ap_depth}"):
             evaluate_campaign(toy4, [MetricSpec.parse("AP")], ap_depth=ap_depth)
+
+    def test_weighted_specs_count_on_the_grid_and_build_no_index(self, toy4, monkeypatch):
+        specs = [
+            MetricSpec.parse(name, default_cutoff=3)
+            for name in ("P@3_rareness(alpha=1)", "AP_rareness", "P@3_mixture(alpha=0.5)")
+        ]
+        expected = [m.values.tolist() for m in evaluate_campaign(toy4, specs, ap_depth=None)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate_campaign built a rarity index")
+
+        # Patching the class too catches a copy of the builder imported by name.
+        monkeypatch.setattr(rareval.rarity, "build_rarity_index", refuse)
+        monkeypatch.setattr(rareval.rarity, "RarityIndex", refuse)
+        matrices = evaluate_campaign(toy4, specs, ap_depth=None)
+        assert [m.values.tolist() for m in matrices] == expected
 
     def test_shared_index_across_alphas(self, toy4):
         specs = [
@@ -184,37 +200,6 @@ class TestAlphaZeroOrderingInvariance:
                 rank_systems(mean_scores(base)), rank_systems(mean_scores(weighted))
             )
             assert tau == 1.0
-
-
-POOL = [f"d{i}" for i in range(10)]
-
-
-@st.composite
-def tiny_campaigns(draw):
-    """1-6 systems over 1-4 judged topics: rankings of 0-8 pool docs (shared
-    across systems; a system may skip a topic), graded 0-2 judgments,
-    zero-relevant topics allowed."""
-    topics = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
-    ranking = st.lists(st.sampled_from(POOL), max_size=8, unique=True)
-    runs = [
-        make_run(f"s{i}", {t: draw(ranking) for t in topics if draw(st.integers(0, 3))})
-        for i in range(draw(st.integers(1, 6)))
-    ]
-    judgments = {}
-    for t in topics:
-        # A pool doc is unjudged (None) or graded; one topic in four has no relevant doc.
-        grades = draw(st.lists(st.sampled_from([None, 0, 1, 1, 2]), min_size=10, max_size=10))
-        relevant = draw(st.integers(0, 3)) > 0
-        judgments[t] = {doc: g * relevant for doc, g in zip(POOL, grades) if g is not None}
-    return Campaign(runs, Qrels(judgments))
-
-
-@st.composite
-def metric_specs(draw, kind):
-    alpha = draw(st.sampled_from([0.0, 0.5, 1.0])) if kind not in ("p", "ap") else 0.0
-    formulation = "mixture" if kind == "p_mixture" else "additive"
-    variant = draw(st.sampled_from(["eq2", "revised"]))
-    return MetricSpec(kind, MetricConfig(draw(st.integers(1, 8)), alpha, variant, formulation))
 
 
 def outcome(score):

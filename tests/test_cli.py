@@ -621,6 +621,41 @@ class TestRarityDepthFlag:
         assert out == ""
         assert f"--rarity-depth must be >= 1, got {depth}" in err
 
+    def test_relevant_hit_below_the_depth_is_one_data_error_line(self, toy_files, capsys):
+        # d2 is A's and C's relevant hit at rank 2; at depth 1 only d1 is counted.
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            ["eval", "--metric", "P@10_rareness", "--runs", *runs, "--qrels", qrels,
+             "--rarity-depth", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: no scored system retrieved 'd2' for topic 't1' within count depth 1\n"
+        )
+
+
+class TestFlagsBelowOne:
+    @pytest.mark.parametrize("cutoff", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["eval", "compare", "discpower", "stability"])
+    def test_cutoff_exits_2_naming_the_flag(self, toy_files, capsys, command, cutoff):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            [command, "--runs", *runs, "--qrels", qrels, "--cutoff", cutoff], capsys
+        )
+        assert (code, out, err) == (2, "", f"error: --cutoff must be >= 1, got {cutoff}\n")
+
+    @pytest.mark.parametrize("d_max", ["0", "-2"])
+    def test_trajectory_d_max_exits_2_naming_the_flag(self, toy_files, capsys, d_max):
+        runs, qrels = toy_files
+        code, out, err = run_cli(
+            ["trajectory", "--kind", "rare", "--topic", "t1", "--d-max", d_max,
+             "--runs", *runs, "--qrels", qrels, "--cutoff", "3"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"error: --d-max must be >= 1, got {d_max}\n")
+
 
 class TestImportFootprint:
     REPORT = (

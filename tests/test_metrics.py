@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareval import (
     Campaign,
@@ -23,7 +25,7 @@ from rareval import (
 from rareval.errors import ConfigError, DataError
 
 import oracles
-from conftest import make_run
+from conftest import make_run, metric_specs, tiny_campaigns
 
 
 @pytest.fixture
@@ -348,40 +350,6 @@ class TestOracleEquivalence:
                                 )
 
 
-def oracle_matrix(campaign, spec, rarity_depth, ap_depth):
-    """Brute-force systems x topics values for ``spec``, and whether a scored
-    relevant document has no retrieval within ``rarity_depth``."""
-    runs_docs, relevant_by_topic = oracles.campaign_to_plain(campaign)
-    cfg = spec.config
-    k, alpha, variant = cfg.cutoff, cfg.alpha, cfg.rarity_variant
-    values = np.zeros((campaign.n_systems, len(campaign.judged_topics)))
-    undefined = False
-    for si, system in enumerate(campaign.system_ids):
-        for ti, topic in enumerate(campaign.judged_topics):
-            relevant = relevant_by_topic[topic]
-            n_rel = len(relevant)
-            docs = runs_docs[system].get(topic, [])
-            if spec.is_ap_family and n_rel == 0:
-                continue
-            bound = k if ap_depth == "cutoff" or not spec.is_ap_family else len(docs)
-            if spec.needs_rarity and any(
-                oracles.naive_count_retrievers(runs_docs, topic, d, rarity_depth) == 0
-                for d in docs[:bound] if d in relevant
-            ):
-                undefined = True
-            args = (runs_docs, system, topic, relevant, bound, alpha, variant)
-            values[si, ti] = {
-                "p": lambda: oracles.naive_p_at_k(docs, relevant, k),
-                "ap": lambda: oracles.naive_ap(docs, relevant, bound, n_rel),
-                "p_rareness": lambda: oracles.naive_p_at_k_rareness(*args, rarity_depth),
-                "p_mixture": lambda: oracles.naive_p_at_k_mixture(*args, rarity_depth),
-                "ap_rareness": lambda: oracles.naive_ap_rareness(
-                    *args, n_rel, rarity_depth
-                ),
-            }[spec.kind]()
-    return values, undefined
-
-
 class TestEvaluateCampaignOracle:
     NAMES = (
         "P@4",
@@ -399,7 +367,9 @@ class TestEvaluateCampaignOracle:
             for variant in ("eq2", "revised"):
                 for name in self.NAMES:
                     spec = MetricSpec.parse(name.format(v=variant), default_cutoff=4)
-                    expected, undefined = oracle_matrix(campaign, spec, rarity_depth, ap_depth)
+                    expected, undefined = oracles.oracle_matrix(
+                        campaign, spec, rarity_depth, ap_depth
+                    )
                     kwargs = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
                     if undefined:
                         undefined_seen += 1
@@ -410,6 +380,29 @@ class TestEvaluateCampaignOracle:
                     np.testing.assert_allclose(matrix.values, expected, rtol=0, atol=1e-12)
         # A shallow count depth must exercise the undefined case, a full one never.
         assert (undefined_seen > 0) == (rarity_depth is not None)
+
+    @pytest.mark.parametrize("kind", ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"])
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        rarity_depth=st.sampled_from([None, 1, 2, 3]),
+        ap_depth=st.sampled_from(["cutoff", None]),
+        data=st.data(),
+    )
+    def test_generated_campaigns_match_bruteforce(
+        self, kind, campaign, rarity_depth, ap_depth, data
+    ):
+        spec = data.draw(metric_specs(kind))
+        expected, undefined = oracles.oracle_matrix(campaign, spec, rarity_depth, ap_depth)
+        kwargs = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # revised rarity of a single system
+            if undefined:
+                with pytest.raises(UndefinedRarityError):
+                    evaluate_campaign(campaign, [spec], **kwargs)
+                return
+            (matrix,) = evaluate_campaign(campaign, [spec], **kwargs)
+        np.testing.assert_allclose(matrix.values, expected, rtol=0, atol=1e-12)
 
     def test_alpha_zero_ap_rareness_is_ap_at_full_depth(self):
         for campaign in random_campaigns(range(212, 218)):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -525,7 +526,7 @@ class TestSubsetExperiment:
     ):
         spec = MetricSpec.parse("P@20_rareness(alpha=1)")
         config = SubsetExperimentConfig(4, trials=5, seed=6)
-        with pytest.raises(UndefinedRarityError, match="no sampled system retrieved '.*"
+        with pytest.raises(UndefinedRarityError, match="no scored system retrieved '.*"
                            "within count depth 5"):
             subset_experiment(hetero_campaign, spec, config, rarity_depth=5)
 
@@ -594,3 +595,47 @@ _COUNT_DEPTH_ENTRIES = {
 def test_nonpositive_count_depth_rejected_by_every_entry(toy4, entry, depth):
     with pytest.raises(DataError, match=f"count depth must be >= 1 or None, got {depth}$"):
         _COUNT_DEPTH_ENTRIES[entry](toy4, depth)
+
+
+# A depth is None, an integer of at least 1 (numpy's too, not a bool) or, for
+# the AP depth only, "cutoff"; anything else is rejected by the same check
+# that rejects a depth below 1, naming the value's repr.
+_DEPTH_ENTRIES = {
+    "evaluate_campaign": lambda c, spec, **depth: evaluate_campaign(c, [spec], **depth),
+    "stability": lambda c, spec, **depth: stability(
+        c, spec, StabilityConfig(1, trials=5), **depth
+    ),
+    "subset_experiment": lambda c, spec, **depth: subset_experiment(
+        c, spec, SubsetExperimentConfig(2, trials=5), **depth
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "keyword, value, error",
+    [
+        ("ap_depth", "full", ConfigError),
+        ("ap_depth", "3", ConfigError),
+        ("ap_depth", 2.5, ConfigError),
+        ("ap_depth", True, ConfigError),
+        ("rarity_depth", "2", DataError),
+        ("rarity_depth", 1.5, DataError),
+        ("rarity_depth", True, DataError),
+        ("rarity_depth", "cutoff", DataError),
+    ],
+)
+@pytest.mark.parametrize("entry", sorted(_DEPTH_ENTRIES))
+def test_depth_of_the_wrong_type_rejected_by_every_entry(toy4, entry, keyword, value, error):
+    spec = MetricSpec.parse("AP_rareness")
+    with pytest.raises(error, match=re.escape(f"got {value!r}") + "$") as raised:
+        _DEPTH_ENTRIES[entry](toy4, spec, **{keyword: value})
+    assert type(raised.value) is error
+
+
+def test_numpy_integer_depths_score_as_python_ints(toy4):
+    spec = MetricSpec.parse("AP_rareness")
+    (numpy_depths,) = evaluate_campaign(
+        toy4, [spec], ap_depth=np.int32(2), rarity_depth=np.int64(3)
+    )
+    (int_depths,) = evaluate_campaign(toy4, [spec], ap_depth=2, rarity_depth=3)
+    assert numpy_depths.values.tolist() == int_depths.values.tolist()

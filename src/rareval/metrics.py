@@ -53,8 +53,8 @@ class MetricConfig:
     formulation: Formulation = "additive"
 
     def __post_init__(self) -> None:
-        if self.cutoff < 1:
-            raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
+        if not is_depth(self.cutoff):
+            raise ConfigError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be a finite number, got {self.alpha}")
         if self.alpha < 0:

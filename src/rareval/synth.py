@@ -9,7 +9,10 @@ otherwise the next unused document from its own uniform shuffle of the pool.
 At ``overlap_bias = 1`` every system deliberately front-loads the whole
 shared order, so all systems retrieve identical relevant sets; at 0 the
 draws are uniform, so with a large pool most retrieved relevant documents
-are found by a single system.
+are found by a single system. The model is defined slot by slot, but the
+generator loops once per shared pick (at most the relevant-set size per
+ranking) and takes the private picks between them as runs, from the same
+draws.
 
 Two hypothetical probe systems can be inserted into any campaign:
 
@@ -24,8 +27,10 @@ of retrieved relevant documents grows.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Literal, Sequence
 
 import numpy as np
@@ -33,8 +38,8 @@ import numpy as np
 from .campaign import _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
-from .rarity import RarityIndex, build_rarity_index
-from .rng import DEFAULT_SEED, substream
+from .rarity import RarityIndex, build_rarity_index, is_depth
+from .rng import DEFAULT_SEED, MAX_SEED, substream
 from .trec_io import Campaign, Qrels, Run, RunColumns
 
 _STREAM_TOPIC = 11
@@ -57,22 +62,27 @@ class SynthSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.n_systems < 1:
-            raise ConfigError(f"need at least 1 system, got {self.n_systems}")
-        if self.n_topics < 1:
-            raise ConfigError(f"need at least 1 topic, got {self.n_topics}")
-        if not 1 <= self.n_relevant_per_topic <= self.doc_pool_size:
+        counts = ("n_systems", "n_topics", "n_relevant_per_topic", "doc_pool_size", "run_depth")
+        for name in counts:
+            value = getattr(self, name)
+            if not is_depth(value):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.n_relevant_per_topic > self.doc_pool_size:
             raise ConfigError(
                 f"relevant-per-topic {self.n_relevant_per_topic} must lie in "
                 f"[1, doc pool size {self.doc_pool_size}]"
             )
-        if not 1 <= self.run_depth <= self.doc_pool_size:
+        if self.run_depth > self.doc_pool_size:
             raise ConfigError(
                 f"run depth {self.run_depth} must lie in "
                 f"[1, doc pool size {self.doc_pool_size}]"
             )
-        if not 0.0 <= self.overlap_bias <= 1.0:
-            raise ConfigError(f"overlap bias must be in [0, 1], got {self.overlap_bias}")
+        bias = self.overlap_bias
+        if isinstance(bias, bool) or not isinstance(bias, Real) or not 0.0 <= bias <= 1.0:
+            raise ConfigError(f"overlap_bias must be a number in [0, 1], got {bias!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= MAX_SEED:
+            raise ConfigError(f"seed must be an integer in 0..{MAX_SEED}, got {seed!r}")
 
 
 def _doc_id(j: int) -> str:
@@ -87,10 +97,41 @@ def _ranked(docs: Sequence[str]) -> RunColumns:
     )
 
 
+def _picks(take_shared: np.ndarray, private: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Pool indices of one ranking. A ``take_shared`` slot takes the next doc of
+    ``shared`` not yet taken, while that order lasts; any other slot takes the
+    next doc of ``private`` not yet taken. Python walks the shared picks only:
+    after ``m`` private picks, each position of ``private`` below the pointer
+    ``m + below`` is a private pick or one of the ``below`` positions a shared
+    pick blocked, so a shared doc whose position lies below it was taken.
+    """
+    pos = np.empty_like(private)
+    pos[private] = np.arange(len(private))
+    shared_pos = pos[shared].tolist()
+    before: list[int] = []  # private picks made before each shared pick
+    taken: list[int] = []  # private positions of the shared picks, in slot order
+    blocked: list[int] = []  # the same, ascending
+    at = below = 0
+    for i, slot in enumerate(np.flatnonzero(take_shared).tolist()):
+        m = slot - i
+        while below < len(blocked) and blocked[below] <= m + below:
+            below += 1
+        while at < len(shared_pos) and shared_pos[at] < m + below:  # taken privately
+            at += 1
+        if at == len(shared_pos):
+            break  # the shared order is exhausted: this slot and the rest are private
+        before.append(m)
+        taken.append(shared_pos[at])
+        bisect.insort(blocked, shared_pos[at])
+        at += 1
+    return np.insert(np.delete(private, taken), before, private[taken])[: len(take_shared)]
+
+
 def generate_campaign(spec: SynthSpec) -> Campaign:
     """A deterministic campaign drawn from the spec's generative model."""
     skills = substream(spec.seed, _STREAM_SKILL).uniform(0.15, 0.95, spec.n_systems)
     topic_ids = [f"t{t:03d}" for t in range(spec.n_topics)]
+    ids = np.array([_doc_id(j) for j in range(spec.doc_pool_size)], dtype=object)
 
     shared_orders: dict[str, np.ndarray] = {}
     judgments: dict[str, dict[str, int]] = {}
@@ -98,7 +139,7 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
         rng = substream(spec.seed, _STREAM_TOPIC, t)
         rel = rng.choice(spec.doc_pool_size, size=spec.n_relevant_per_topic, replace=False)
         shared_orders[topic] = rng.permutation(rel)
-        judgments[topic] = {_doc_id(j): 1 for j in rel}
+        judgments[topic] = dict.fromkeys(ids[rel].tolist(), 1)
 
     runs: list[Run] = []
     for s in range(spec.n_systems):
@@ -108,26 +149,8 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
             rng = substream(spec.seed, _STREAM_RANKING, s, t)
             take_shared = rng.random(spec.run_depth) < theta
             private = rng.permutation(spec.doc_pool_size)
-            shared = shared_orders[topic]
-            used: set[int] = set()
-            picked: list[int] = []
-            shared_at = 0
-            private_at = 0
-            for slot in range(spec.run_depth):
-                doc = -1
-                if take_shared[slot]:
-                    while shared_at < len(shared) and int(shared[shared_at]) in used:
-                        shared_at += 1
-                    if shared_at < len(shared):
-                        doc = int(shared[shared_at])
-                        shared_at += 1
-                if doc < 0:
-                    while int(private[private_at]) in used:
-                        private_at += 1
-                    doc = int(private[private_at])
-                used.add(doc)
-                picked.append(doc)
-            columns[topic] = _ranked([_doc_id(doc) for doc in picked])
+            picked = _picks(take_shared, private, shared_orders[topic])
+            columns[topic] = _ranked(ids[picked].tolist())
         runs.append(Run.of_columns(f"sys{s:03d}", columns))
     return Campaign(runs, Qrels(judgments, relevance_threshold=1))
 

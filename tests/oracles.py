@@ -177,3 +177,65 @@ def oracle_matrix(campaign, spec, rarity_depth, ap_depth):
                 "ap_rareness": lambda: naive_ap_rareness(*args, n_rel, rarity_depth),
             }[spec.kind]()
     return values, undefined
+
+
+def naive_generate_campaign(spec):
+    """``synth.generate_campaign``'s draws, walked slot by slot.
+
+    The draws come from the package's seeded streams, spelled out here:
+    ``default_rng((seed, 11, t))`` per topic, ``(seed, 12)`` for the skills and
+    ``(seed, 13, s, t)`` per ranking. Returns ``(runs, judgments)``: ``runs``
+    is ``[(system_id, {topic: (docs, scores, rank_fields)})]`` of tuples.
+    """
+    def substream(*key):
+        return np.random.default_rng(key)
+
+    def doc_id(j):
+        return f"doc{j:05d}"
+
+    skills = substream(spec.seed, 12).uniform(0.15, 0.95, spec.n_systems)
+    topic_ids = [f"t{t:03d}" for t in range(spec.n_topics)]
+
+    shared_orders = {}
+    judgments = {}
+    for t, topic in enumerate(topic_ids):
+        rng = substream(spec.seed, 11, t)
+        rel = rng.choice(spec.doc_pool_size, size=spec.n_relevant_per_topic, replace=False)
+        shared_orders[topic] = rng.permutation(rel)
+        judgments[topic] = {doc_id(j): 1 for j in rel}
+
+    runs = []
+    for s in range(spec.n_systems):
+        theta = 1.0 if spec.overlap_bias == 1.0 else skills[s] * spec.overlap_bias
+        columns = {}
+        for t, topic in enumerate(topic_ids):
+            rng = substream(spec.seed, 13, s, t)
+            take_shared = rng.random(spec.run_depth) < theta
+            private = rng.permutation(spec.doc_pool_size)
+            shared = shared_orders[topic]
+            used = set()
+            picked = []
+            shared_at = 0
+            private_at = 0
+            for slot in range(spec.run_depth):
+                doc = -1
+                if take_shared[slot]:
+                    while shared_at < len(shared) and int(shared[shared_at]) in used:
+                        shared_at += 1
+                    if shared_at < len(shared):
+                        doc = int(shared[shared_at])
+                        shared_at += 1
+                if doc < 0:
+                    while int(private[private_at]) in used:
+                        private_at += 1
+                    doc = int(private[private_at])
+                used.add(doc)
+                picked.append(doc)
+            n = len(picked)
+            columns[topic] = (
+                tuple(doc_id(doc) for doc in picked),
+                tuple(float(n - i) for i in range(n)),
+                tuple(range(1, n + 1)),
+            )
+        runs.append((f"sys{s:03d}", columns))
+    return runs, judgments

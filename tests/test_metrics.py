@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -227,6 +228,15 @@ class TestConfigValidation:
                 MetricConfig(alpha=alpha)
         with pytest.raises(ConfigError):
             MetricConfig(rarity_variant="idf")
+
+    @pytest.mark.parametrize("cutoff", [2.5, True, "3", np.float64(3.0)])
+    def test_wrong_typed_cutoff_rejected_naming_the_value(self, cutoff):
+        message = f"cutoff must be an integer >= 1, got {cutoff!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MetricConfig(cutoff=cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        assert MetricConfig(cutoff=np.int64(3)).cutoff == 3
 
     def test_additive_alpha_above_one_warns_but_works(self):
         with pytest.warns(UserWarning, match="recommended"):

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from rareval import (
     rank_trajectory,
     rareness,
 )
+from rareval.cli import dispatch
 from rareval.errors import ConfigError, DataError, FormatError
 
+import oracles
 from conftest import make_run
 
 
@@ -105,6 +109,77 @@ class TestGenerateCampaign:
             SynthSpec(3, 2, 5, 40, overlap_bias=1.5, run_depth=10)
         with pytest.raises(ConfigError):
             SynthSpec(0, 2, 5, 40, overlap_bias=0.5, run_depth=10)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_systems", 2.5), ("n_systems", True), ("n_topics", "2"),
+            ("n_relevant_per_topic", 5.0), ("doc_pool_size", 10.0), ("run_depth", "5"),
+            ("overlap_bias", "0.5"), ("overlap_bias", True), ("overlap_bias", None),
+            ("seed", 1.5), ("seed", True), ("seed", "7"), ("seed", -1), ("seed", 2**64),
+        ],
+    )
+    def test_wrong_typed_field_raises_config_error_naming_it(self, field, value):
+        fields = dict(
+            n_systems=3, n_topics=2, n_relevant_per_topic=5, doc_pool_size=40,
+            overlap_bias=0.5, run_depth=10, seed=1,
+        )
+        message = rf"^{field} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            SynthSpec(**{**fields, field: value})
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 3), st.integers(1, 3), st.integers(1, 25), st.integers(1, 25),
+            st.integers(1, 25),
+        ),
+        full=st.sampled_from(["none", "depth", "relevant", "both"]),
+        bias=st.sampled_from([0.0, 0.35, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_the_slot_by_slot_loop(self, shape, full, bias, seed):
+        n_systems, n_topics, pool, n_relevant, depth = shape
+        n_relevant = pool if full in ("relevant", "both") else min(n_relevant, pool)
+        depth = pool if full in ("depth", "both") else min(depth, pool)
+        spec = SynthSpec(n_systems, n_topics, n_relevant, pool, bias, depth, seed=seed)
+        campaign = generate_campaign(spec)
+        runs, judgments = oracles.naive_generate_campaign(spec)
+        assert [
+            (run.system_id, {
+                topic: (c.docs, tuple(c.scores.tolist()), tuple(c.rank_fields.tolist()))
+                for topic, c in run.columns.items()
+            })
+            for run in campaign.runs
+        ] == runs
+        assert {t: list(by_doc.items()) for t, by_doc in campaign.qrels.judgments.items()} == {
+            t: list(by_doc.items()) for t, by_doc in judgments.items()
+        }
+
+    @pytest.mark.parametrize(
+        "bias, systems, topics, relevant, pool, depth, seed, digest",
+        [
+            ("0", 4, 3, 6, 40, 15, 5,
+             "f72d6204ea1d903da43107f19ff3c3452c2522fdfaf6f70388c6c4b3db5584f1"),
+            ("0.35", 5, 3, 10, 60, 25, 7,
+             "4fc5936c60317c04c886842d473c6a4c3aba0bba8e7b093d28f407e738f2ac35"),
+            ("1", 3, 2, 8, 20, 20, 11,  # depth = pool
+             "c32d818ec57c26d16f8d772b58849367edb7cb09e0d499c0e4bad0063a99efa1"),
+        ],
+    )
+    def test_synth_writes_the_pinned_bytes(
+        self, tmp_path, capsys, bias, systems, topics, relevant, pool, depth, seed, digest
+    ):
+        argv = ["synth", "--systems", systems, "--topics", topics, "--relevant", relevant,
+                "--pool", pool, "--depth", depth, "--bias", bias, "--seed", seed,
+                "--out", tmp_path]
+        assert dispatch([str(arg) for arg in argv]) == 0
+        capsys.readouterr()
+        combined = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            file_digest = hashlib.sha256(path.read_bytes()).digest()
+            combined.update(path.name.encode() + b"\0" + file_digest)
+        assert combined.hexdigest() == digest
 
 
 class TestMakeRareSystem:

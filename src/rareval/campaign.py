@@ -8,10 +8,11 @@ precision family scores them unless the same exclusion is requested.
 
 One scorer, ``_SubsetScorer``, scores rows of a campaign's hit tables with the
 one metric formula, ``metrics.score_hits``, which sums gains in rank order.
-Rarity counts are column sums of its incidence grid over the scored rows:
-``evaluate_campaign`` runs it over every row, the subset experiment
-(``stats``) and the probe trajectory (``synth``) over row subsets, so all
-agree bit for bit and none builds a rarity index.
+Rarity counts are column sums of its incidence grid over the scored rows.
+``evaluate_campaign`` scores all its specs and rows with one, built at the
+deepest spec's depth; the subset experiment (``stats``) and the probe
+trajectory (``synth``) score row subsets. All agree bit for bit, and none
+builds a rarity index.
 """
 
 from __future__ import annotations
@@ -86,13 +87,13 @@ class _SubsetScorer:
         check_count_depth(rarity_depth)
         if not campaign.judged_topics:
             raise DataError("campaign has no judged topics")
-        self.spec, self.rarity_depth = spec, rarity_depth
+        self.spec, self.rarity_depth, self.ap_depth = spec, rarity_depth, ap_depth
         self.runs = sorted(campaign.runs, key=lambda run: run.system_id)
         self.topics = campaign.judged_topics
         self.n_rel = [campaign.qrels.n_relevant(t) for t in self.topics]
-        bound = metric_bound(spec, ap_depth)
+        self.bound = metric_bound(spec, ap_depth)
         self.tables = [
-            hit_table([run.docs(t) for run in self.runs], campaign.qrels.relevant(t), bound)
+            hit_table([run.docs(t) for run in self.runs], campaign.qrels.relevant(t), self.bound)
             for t in self.topics
         ]
         # The AP family averages over the topics with relevant documents only.
@@ -113,13 +114,19 @@ class _SubsetScorer:
         return grids
 
     def scores(self, rows: np.ndarray, spec: MetricSpec):
-        """The ``rows`` x judged-topics scores of ``spec`` (scoring to the
-        constructor's depth), with rarity counted over just ``rows``."""
+        """The ``rows`` x judged-topics scores of ``spec`` (no deeper than the
+        constructor's; deeper hits become padding, trailing 0.0 gains as hits
+        are in rank order), with rarity counted over just ``rows``."""
+        bound = metric_bound(spec, self.ap_depth)
         values = np.zeros((len(rows), len(self.topics)))
         for ti, (topic, table) in enumerate(zip(self.topics, self.tables)):
-            if not table.docs:
-                continue  # nothing hit scores exactly 0
-            columns, hit = table.columns[rows], table.hit[rows]
+            ranks, hit, any_hit = table.ranks, table.hit, bool(table.docs)
+            if bound != self.bound:
+                hit = hit & (ranks <= bound)
+                ranks, any_hit = np.where(hit, ranks, np.inf), hit.any()
+            if not any_hit:
+                continue  # nothing hit within the spec's depth scores exactly 0
+            columns, ranks, hit = table.columns[rows], ranks[rows], hit[rows]
             rarity = None
             if spec.needs_rarity:
                 counts = self.incidence[ti][rows].sum(axis=0)
@@ -130,14 +137,14 @@ class _SubsetScorer:
                         f"topic {topic!r} within count depth {self.rarity_depth}"
                     )
                 rarity = rarity_of_counts(counts, len(rows), spec.config.rarity_variant)[columns]
-            values[:, ti] = score_hits(spec, table.ranks[rows], hit, rarity, self.n_rel[ti])
+            values[:, ti] = score_hits(spec, ranks, hit, rarity, self.n_rel[ti])
         return values
 
     def subset_means(self, subset: np.ndarray, spec: MetricSpec | None = None) -> np.ndarray:
         """Per-system mean scores when only ``subset`` participates.
 
-        ``spec`` defaults to the constructor's; another must differ from it
-        only in alpha, since the tables were extracted for that one.
+        ``spec`` defaults to the constructor's; another must be no deeper and
+        in the same family, since ``kept`` was chosen for the constructor's.
         """
         spec = self.spec if spec is None else spec
         return topic_means(self.scores(subset, spec)[:, self.kept])
@@ -153,27 +160,20 @@ def evaluate_campaign(
 ) -> list[ScoreMatrix]:
     """Score every system on every judged topic for each metric spec, in one pass.
 
-    One scorer serves each scoring depth, for all specs (rarity does not
-    depend on alpha); rarity counts over all its rows, so no index is built.
+    One scorer at the deepest spec's depth serves every spec, with one hit table
+    and one count grid per topic. Rarity counts over all rows: no index is built.
     """
-    check_count_depth(rarity_depth)
-    topics = campaign.judged_topics
-    if not topics:
-        raise DataError("campaign has no judged topics")
-    depths = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
-    scorers: dict[int | None, _SubsetScorer] = {}
+    if not specs:
+        return []
+    deepest = max(specs, key=lambda spec: metric_bound(spec, ap_depth) or np.inf)
+    scorer = _SubsetScorer(campaign, deepest, rarity_depth=rarity_depth, ap_depth=ap_depth)
+    rows, topics = np.arange(campaign.n_systems), scorer.topics
     matrices: list[ScoreMatrix] = []
     for spec in specs:
-        bound = metric_bound(spec, ap_depth)
-        if bound not in scorers:
-            scorers[bound] = _SubsetScorer(campaign, spec, **depths)
-        scorer = scorers[bound]
         skip_empty = spec.is_ap_family or exclude_zero_relevant_for_p
         skipped = frozenset(t for t, n in zip(topics, scorer.n_rel) if skip_empty and n == 0)
-        values = scorer.scores(np.arange(campaign.n_systems), spec)
-        matrices.append(
-            ScoreMatrix(spec.descriptor, campaign.system_ids, topics, values, skipped)
-        )
+        values = scorer.scores(rows, spec)
+        matrices.append(ScoreMatrix(spec.descriptor, campaign.system_ids, topics, values, skipped))
     return matrices
 
 

@@ -439,18 +439,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    common.add_argument("--alpha", type=float, default=1.0,
-                        help="rarity weight for metrics without an explicit alpha")
     common.add_argument("--rarity", choices=["eq2", "revised"], default="eq2")
     common.add_argument("--rarity-depth", type=int, default=None,
                         help="count retrievals only this deep (default: whole run)")
-    common.add_argument("--ap-depth", choices=["cutoff", "full"], default="cutoff")
     common.add_argument("--json", action="store_true")
     common.add_argument("--threads", type=int, default=None,
                         help="accepted; changes nothing (trials run serially)")
-    common.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
-    p = sub.add_parser("eval", parents=[inputs, common],
+    # Each command gets only the flags below that it reads, except that
+    # compare and trajectory keep --alpha: without it argparse would take
+    # "--alpha 1" as an abbreviation of their --alphas and change the grid.
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=float, default=1.0,
+                       help="rarity weight for metrics without an explicit alpha")
+    ap_depth = argparse.ArgumentParser(add_help=False)
+    ap_depth.add_argument("--ap-depth", choices=["cutoff", "full"], default="cutoff")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    scoring = [inputs, common, alpha, ap_depth]
+
+    p = sub.add_parser("eval", parents=scoring,
                        help="score every system under the given metrics")
     p.add_argument("--metric", action="append", default=None)
     p.add_argument("--per-topic", action="store_true")
@@ -458,18 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip zero-relevant topics for the precision family too")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("compare", parents=[inputs, common],
+    p = sub.add_parser("compare", parents=scoring,
                        help="tau between base and rarity-weighted rankings over alpha")
     p.add_argument("--alphas", default=DEFAULT_ALPHA_GRID)
     p.add_argument("--family", choices=["p", "ap", "both"], default="both")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("discpower", parents=[inputs, common],
+    p = sub.add_parser("discpower", parents=scoring,
                        help="count significantly different system pairs (Tukey HSD)")
     p.add_argument("--metric", action="append", default=None)
     p.set_defaults(func=_cmd_discpower)
 
-    p = sub.add_parser("stability", parents=[inputs, common],
+    p = sub.add_parser("stability", parents=[*scoring, seed],
                        help="pairwise ordering stability under topic subsampling")
     p.add_argument("--metric", action="append", default=None)
     p.add_argument("--sample-size", type=int, default=None,
@@ -480,14 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-pair", action="store_true")
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("subset", parents=[inputs, common],
+    p = sub.add_parser("subset", parents=[*scoring, seed],
                        help="mean tau of rankings recomputed over sampled system subsets")
     p.add_argument("--metric", action="append", default=None)
     p.add_argument("--sizes", default="2,4,8,16,32,64")
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=_cmd_subset)
 
-    p = sub.add_parser("synth", help="generate a synthetic campaign as run/qrels files")
+    p = sub.add_parser("synth", parents=[seed],
+                       help="generate a synthetic campaign as run/qrels files")
     p.add_argument("--systems", type=int, required=True)
     p.add_argument("--topics", type=int, required=True)
     p.add_argument("--relevant", type=int, required=True,
@@ -496,11 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, default=0.5,
                    help="overlap bias in [0,1]: how much systems share relevant picks")
     p.add_argument("--depth", type=int, required=True, help="documents per run per topic")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("trajectory", parents=[inputs, common],
+    p = sub.add_parser("trajectory", parents=[inputs, common, alpha],
                        help="midrank trajectory of an inserted hypothetical system")
     p.add_argument("--kind", choices=["rare", "common"], required=True)
     p.add_argument("--topic", required=True)

@@ -29,6 +29,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import AbstractSet, Literal, Sequence
 
 import numpy as np
@@ -55,8 +56,9 @@ class MetricConfig:
     def __post_init__(self) -> None:
         if not is_depth(self.cutoff):
             raise ConfigError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
-        if not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be a finite number, got {self.alpha}")
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not math.isfinite(alpha):
+            raise ConfigError(f"alpha must be a finite number, got {alpha!r}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.rarity_variant not in RARITY_VARIANTS:

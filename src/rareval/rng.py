@@ -10,6 +10,8 @@ the seed it equals modulo 2**64.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import ConfigError
@@ -24,3 +26,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     if not 0 <= seed <= MAX_SEED:
         raise ConfigError(f"seed must be an integer in 0..{MAX_SEED}, got {seed}")
     return np.random.default_rng((seed, *(k & MAX_SEED for k in key)))
+
+
+def check_seed(seed) -> None:
+    """Reject a config's seed unless it is an integer (not a bool) in 0..MAX_SEED."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must be an integer in 0..{MAX_SEED}, got {seed!r}")

@@ -45,7 +45,8 @@ import numpy as np
 from .campaign import ScoreMatrix, SystemRanking, _SubsetScorer, evaluate_campaign
 from .errors import ConfigError, DataError
 from .metrics import MetricSpec
-from .rng import DEFAULT_SEED, substream
+from .rarity import is_depth
+from .rng import DEFAULT_SEED, check_seed, substream
 from .trec_io import Campaign
 
 SIGNIFICANCE_LEVELS = (0.95, 0.99)
@@ -244,10 +245,11 @@ class StabilityConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.sample_size < 1:
-            raise ConfigError(f"sample size must be >= 1, got {self.sample_size}")
-        if self.trials < 1:
-            raise ConfigError(f"trial count must be >= 1, got {self.trials}")
+        if not is_depth(self.sample_size):
+            raise ConfigError(f"sample size must be an integer >= 1, got {self.sample_size!r}")
+        if not is_depth(self.trials):
+            raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -364,10 +366,11 @@ class SubsetExperimentConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.subset_size < 2:
-            raise ConfigError(f"subset size must be >= 2, got {self.subset_size}")
-        if self.trials < 1:
-            raise ConfigError(f"trial count must be >= 1, got {self.trials}")
+        if not is_depth(self.subset_size) or self.subset_size < 2:
+            raise ConfigError(f"subset size must be an integer >= 2, got {self.subset_size!r}")
+        if not is_depth(self.trials):
+            raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Literal, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .campaign import _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
 from .rarity import RarityIndex, build_rarity_index, is_depth
-from .rng import DEFAULT_SEED, MAX_SEED, substream
+from .rng import DEFAULT_SEED, check_seed, substream
 from .trec_io import Campaign, Qrels, Run, RunColumns
 
 _STREAM_TOPIC = 11
@@ -80,9 +80,7 @@ class SynthSpec:
         bias = self.overlap_bias
         if isinstance(bias, bool) or not isinstance(bias, Real) or not 0.0 <= bias <= 1.0:
             raise ConfigError(f"overlap_bias must be a number in [0, 1], got {bias!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed <= MAX_SEED:
-            raise ConfigError(f"seed must be an integer in 0..{MAX_SEED}, got {seed!r}")
+        check_seed(self.seed)
 
 
 def _doc_id(j: int) -> str:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rareval.campaign
 import rareval.rarity
 from rareval import (
     Campaign,
@@ -18,7 +19,7 @@ from rareval import (
     rank_systems,
 )
 from rareval.campaign import _midranks, _SubsetScorer
-from rareval.errors import ConfigError, DataError, UndefinedRarityError
+from rareval.errors import ConfigError, DataError, RarevalError, UndefinedRarityError
 from scipy.stats import rankdata
 
 from conftest import make_run, metric_specs, tiny_campaigns
@@ -242,3 +243,85 @@ class TestOneScorerProperties:
             for rows in (list(range(len(ids))), subset):
                 fast = outcome(lambda: scorer.subset_means(np.array(rows)).tolist())
                 assert fast == outcome(lambda: evaluated(rows))
+
+
+KINDS = ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"]
+
+
+def evaluation(evaluate):
+    """What ``evaluate()`` gives: each matrix's descriptor, value bytes and
+    skipped topics, or the class and message of its first error; and the set
+    of warnings it gave on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [
+                (m.metric_descriptor, m.values.tobytes(), m.skipped_topics) for m in evaluate()
+            ]
+        except RarevalError as exc:
+            result = (type(exc), str(exc))
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+class TestOneScorerPerEvaluation:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+        rarity_depth=st.sampled_from([None, 1, 2, 3]),
+        ap_depth=st.sampled_from(["cutoff", None]),
+        data=st.data(),
+    )
+    def test_mixed_depths_score_as_each_spec_alone(
+        self, campaign, kinds, rarity_depth, ap_depth, data
+    ):
+        specs = [data.draw(metric_specs(kind)) for kind in kinds]
+        depths = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
+
+        def one_at_a_time():
+            return [m for spec in specs for m in evaluate_campaign(campaign, [spec], **depths)]
+
+        together = evaluation(lambda: evaluate_campaign(campaign, specs, **depths))
+        assert together == evaluation(one_at_a_time)
+
+    def test_two_depths_build_one_scorer_and_one_hit_table_per_topic(self, monkeypatch):
+        campaign = generate_campaign(
+            SynthSpec(4, 3, 5, 40, overlap_bias=0.5, run_depth=10, seed=1)
+        )
+        scorer, table = rareval.campaign._SubsetScorer, rareval.campaign.hit_table
+        scorers, tables = [], []
+        monkeypatch.setattr(
+            rareval.campaign, "_SubsetScorer",
+            lambda *a, **kw: scorers.append(1) or scorer(*a, **kw),
+        )
+        monkeypatch.setattr(
+            rareval.campaign, "hit_table", lambda *a: tables.append(1) or table(*a)
+        )
+        specs = [MetricSpec.parse("P@3"), MetricSpec.parse("AP")]
+        evaluate_campaign(campaign, specs, ap_depth=None)
+        assert len(scorers) == 1
+        assert len(tables) == len(campaign.judged_topics) == 3
+
+    def test_topic_without_a_hit_within_the_specs_depth_is_skipped_silently(self):
+        # The deeper AP table holds d1 at rank 2; P@1 must still skip the topic
+        # rather than count rarity, which warns for a single system.
+        campaign = Campaign([make_run("A", {"t1": ["x", "d1"]})], Qrels({"t1": {"d1": 1}}))
+        specs = [MetricSpec.parse("P@1_rareness(rarity=revised)"), MetricSpec.parse("AP")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, ap = evaluate_campaign(campaign, specs, ap_depth=None)
+        assert p.values.tolist() == [[0.0]]
+        assert ap.values.tolist() == [[0.5]]
+
+    def test_ap_depth_is_checked_before_count_depth_and_judged_topics(self):
+        campaign = Campaign([make_run("A", {"t1": ["d1"]})], Qrels({}))
+        ap = [MetricSpec.parse("AP")]
+        with pytest.raises(ConfigError, match="AP depth"):
+            evaluate_campaign(campaign, ap, rarity_depth=0, ap_depth=0)
+        with pytest.raises(DataError, match="count depth"):
+            evaluate_campaign(campaign, ap, rarity_depth=0)
+        with pytest.raises(DataError, match="no judged topics"):
+            evaluate_campaign(campaign, ap)
+
+    def test_no_specs_give_no_matrices(self, toy4):
+        assert evaluate_campaign(toy4, []) == []

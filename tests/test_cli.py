@@ -482,6 +482,41 @@ class TestSubsetCommand:
         assert from_env == expected
 
 
+class TestFlagsEachCommandReads:
+    """A command takes only the flags it reads: a flag no code path of it reads
+    is a usage error, not silently ignored."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval", "--seed", "1"),
+            ("compare", "--seed", "1"),
+            ("discpower", "--seed", "1"),
+            ("trajectory", "--seed", "1"),
+            ("report", "--seed", "1"),
+            ("trajectory", "--ap-depth", "full"),
+            ("report", "--ap-depth", "full"),
+            ("report", "--alpha", "0.5"),
+        ],
+    )
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        code, out, _ = run_cli(
+            ["synth", "--systems", "4", "--topics", "3", "--relevant", "6",
+             "--pool", "60", "--depth", "10", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 0
+        paths = out.split()
+        argv = [command, "--runs", *[p for p in paths if p.endswith(".run")],
+                "--qrels", paths[-1], "--cutoff", "10"]
+        if command == "trajectory":
+            argv += ["--kind", "rare", "--topic", "t000", "--d-max", "3"]
+        code, out, err = run_cli([*argv, flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err and flag in err
+
+
 class TestTrajectoryCommand:
     def test_rows_and_json_d_star(self, toy_files, capsys):
         runs, qrels = toy_files

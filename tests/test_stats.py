@@ -11,6 +11,7 @@ from scipy.stats import studentized_range as scipy_sr
 import rareval.stats
 from rareval import (
     Campaign,
+    MetricConfig,
     MetricSpec,
     Qrels,
     ScoreMatrix,
@@ -639,3 +640,33 @@ def test_numpy_integer_depths_score_as_python_ints(toy4):
     )
     (int_depths,) = evaluate_campaign(toy4, [spec], ap_depth=2, rarity_depth=3)
     assert numpy_depths.values.tolist() == int_depths.values.tolist()
+
+
+@pytest.mark.parametrize(
+    "config, fields, message",
+    [
+        (MetricConfig, {"alpha": "0.5"}, "alpha must be a finite number, got '0.5'"),
+        (MetricConfig, {"alpha": None}, "alpha must be a finite number, got None"),
+        (MetricConfig, {"alpha": True}, "alpha must be a finite number, got True"),
+        (StabilityConfig, {"sample_size": "3"}, "sample size must be an integer >= 1, got '3'"),
+        (StabilityConfig, {"sample_size": 2.5}, "sample size must be an integer >= 1, got 2.5"),
+        (StabilityConfig, {"sample_size": True}, "sample size must be an integer >= 1, got True"),
+        (StabilityConfig, {"sample_size": 1, "trials": 2.5},
+         "trial count must be an integer >= 1, got 2.5"),
+        (StabilityConfig, {"sample_size": 1, "seed": 1.5},
+         f"seed must be an integer in 0..{MAX_SEED}, got 1.5"),
+        (StabilityConfig, {"sample_size": 1, "seed": "1"},
+         f"seed must be an integer in 0..{MAX_SEED}, got '1'"),
+        (SubsetExperimentConfig, {"subset_size": "4"},
+         "subset size must be an integer >= 2, got '4'"),
+        (SubsetExperimentConfig, {"subset_size": 2.5},
+         "subset size must be an integer >= 2, got 2.5"),
+        (SubsetExperimentConfig, {"subset_size": 2, "trials": True},
+         "trial count must be an integer >= 1, got True"),
+        (SubsetExperimentConfig, {"subset_size": 2, "seed": -1},
+         f"seed must be an integer in 0..{MAX_SEED}, got -1"),
+    ],
+)
+def test_config_field_of_the_wrong_type_is_a_config_error_naming_it(config, fields, message):
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        config(**fields)

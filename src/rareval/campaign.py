@@ -9,6 +9,10 @@ precision family scores them unless the same exclusion is requested.
 One scorer, ``_SubsetScorer``, scores rows of a campaign's hit tables with the
 one metric formula, ``metrics.score_hits``, which sums gains in rank order.
 Rarity counts are column sums of its incidence grid over the scored rows.
+It reads rankings as codes into the union of the runs' vocabularies (the
+loader's own when a campaign has one): a topic's hits are a lookup in a
+mask of its relevant codes, and its grid is set by scattering each row's
+codes through a code-to-column array, with no per-document Python loop.
 ``evaluate_campaign`` scores all its specs and rows with one, built at the
 deepest spec's depth; the subset experiment (``stats``) and the probe
 trajectory (``synth``) score row subsets. All agree bit for bit, and none
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
 from .rarity import check_count_depth, rarity_of_counts
-from .trec_io import Campaign
+from .trec_io import Campaign, union_vocabulary
 
 
 @dataclass
@@ -81,7 +85,11 @@ class SystemRanking:
 
 class _SubsetScorer:
     """The one loop that scores a campaign: rows of its systems, one hit table
-    per judged topic at ``spec``'s scoring depth, rows in ``system_ids`` order."""
+    per judged topic at ``spec``'s scoring depth, rows in ``system_ids`` order.
+
+    Rankings are codes into the union of the runs' vocabularies, so hit
+    tables and count grids come from numpy indexing, not from doc-id strings.
+    """
 
     def __init__(self, campaign: Campaign, spec: MetricSpec, *, rarity_depth, ap_depth):
         check_count_depth(rarity_depth)
@@ -92,10 +100,25 @@ class _SubsetScorer:
         self.topics = campaign.judged_topics
         self.n_rel = [campaign.qrels.n_relevant(t) for t in self.topics]
         self.bound = metric_bound(spec, ap_depth)
-        self.tables = [
-            hit_table([run.docs(t) for run in self.runs], campaign.qrels.relevant(t), self.bound)
+        vocab, to_union = union_vocabulary(
+            c.vocab for run in self.runs for c in run.columns.values()
+        )
+        no_docs = np.zeros(0, np.intp)
+        self.codes = [  # per topic, each row's ranking as codes into ``vocab``
+            [
+                no_docs if (c := run.columns.get(t)) is None else to_union[c.vocab][c.codes]
+                for run in self.runs
+            ]
             for t in self.topics
         ]
+        self.n_codes = len(vocab)
+        code_of, is_relevant = vocab.code_of, np.zeros(len(vocab), dtype=bool)
+        self.tables = []
+        for topic, codes in zip(self.topics, self.codes):
+            relevant = [code_of[doc] for doc in campaign.qrels.relevant(topic) if doc in code_of]
+            is_relevant[relevant] = True
+            self.tables.append(hit_table(codes, is_relevant, vocab.ids, self.bound))
+            is_relevant[relevant] = False
         # The AP family averages over the topics with relevant documents only.
         self.kept = [i for i, n in enumerate(self.n_rel) if n or not spec.is_ap_family]
 
@@ -104,12 +127,16 @@ class _SubsetScorer:
         """Per topic, a systems x hit-docs grid of retrievals within the rarity
         depth: the retrieval counts of some rows are its column sums over them."""
         grids = []
-        for topic, table in zip(self.topics, self.tables):
-            doc_col = {doc: c for c, doc in enumerate(table.docs)}
-            grid = np.zeros((len(self.runs), len(doc_col)), dtype=bool)
-            for si, run in enumerate(self.runs):
-                scope = run.docs(topic)[: self.rarity_depth]
-                grid[si, [doc_col[doc] for doc in doc_col.keys() & scope]] = True
+        column = np.full(self.n_codes, -1, dtype=np.intp)  # a hit doc's grid column
+        rows = np.arange(len(self.runs))
+        for codes, table in zip(self.codes, self.tables):
+            column[table.codes] = np.arange(len(table.docs))
+            scoped = [row_codes[: self.rarity_depth] for row_codes in codes]
+            cols = column[np.concatenate(scoped)]
+            row = np.repeat(rows, list(map(len, scoped)))
+            grid = np.zeros((len(self.runs), len(table.docs)), dtype=bool)
+            grid[row[cols >= 0], cols[cols >= 0]] = True
+            column[table.codes] = -1
             grids.append(grid)
         return grids
 

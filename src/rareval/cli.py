@@ -232,7 +232,8 @@ def _cmd_compare(args) -> int:
     for family in families:
         base_name = f"P@{args.cutoff}" if family == "p" else "AP"
         weighted = [f"{base_name}_rareness(alpha={a},rarity={args.rarity})" for a in alphas]
-        specs += [_parse_metric(args, name) for name in (base_name, *weighted)]
+        names = (base_name, *weighted)
+        specs += [MetricSpec.parse(name, default_cutoff=args.cutoff) for name in names]
     matrices = evaluate_campaign(
         campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
     )
@@ -423,6 +424,7 @@ def _cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rareval",
+        allow_abbrev=False,
         description="Rareness-weighted retrieval evaluation over TREC-format campaigns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,9 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="accepted; changes nothing (trials run serially)")
 
-    # Each command gets only the flags below that it reads, except that
-    # compare and trajectory keep --alpha: without it argparse would take
-    # "--alpha 1" as an abbreviation of their --alphas and change the grid.
+    # Each command gets only the flags below that it reads.
     alpha = argparse.ArgumentParser(add_help=False)
     alpha.add_argument("--alpha", type=float, default=1.0,
                        help="rarity weight for metrics without an explicit alpha")
@@ -458,7 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     scoring = [inputs, common, alpha, ap_depth]
 
-    p = sub.add_parser("eval", parents=scoring,
+    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = add_parser("eval", parents=scoring,
                        help="score every system under the given metrics")
     p.add_argument("--metric", action="append", default=None)
     p.add_argument("--per-topic", action="store_true")
@@ -466,18 +469,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip zero-relevant topics for the precision family too")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("compare", parents=scoring,
+    p = add_parser("compare", parents=[inputs, common, ap_depth],
                        help="tau between base and rarity-weighted rankings over alpha")
     p.add_argument("--alphas", default=DEFAULT_ALPHA_GRID)
     p.add_argument("--family", choices=["p", "ap", "both"], default="both")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("discpower", parents=scoring,
+    p = add_parser("discpower", parents=scoring,
                        help="count significantly different system pairs (Tukey HSD)")
     p.add_argument("--metric", action="append", default=None)
     p.set_defaults(func=_cmd_discpower)
 
-    p = sub.add_parser("stability", parents=[*scoring, seed],
+    p = add_parser("stability", parents=[*scoring, seed],
                        help="pairwise ordering stability under topic subsampling")
     p.add_argument("--metric", action="append", default=None)
     p.add_argument("--sample-size", type=int, default=None,
@@ -488,14 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-pair", action="store_true")
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("subset", parents=[*scoring, seed],
+    p = add_parser("subset", parents=[*scoring, seed],
                        help="mean tau of rankings recomputed over sampled system subsets")
     p.add_argument("--metric", action="append", default=None)
     p.add_argument("--sizes", default="2,4,8,16,32,64")
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=_cmd_subset)
 
-    p = sub.add_parser("synth", parents=[seed],
+    p = add_parser("synth", parents=[seed],
                        help="generate a synthetic campaign as run/qrels files")
     p.add_argument("--systems", type=int, required=True)
     p.add_argument("--topics", type=int, required=True)
@@ -508,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("trajectory", parents=[inputs, common, alpha],
+    p = add_parser("trajectory", parents=[inputs, common],
                        help="midrank trajectory of an inserted hypothetical system")
     p.add_argument("--kind", choices=["rare", "common"], required=True)
     p.add_argument("--topic", required=True)
@@ -521,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi-topic", action="store_true")
     p.set_defaults(func=_cmd_trajectory)
 
-    p = sub.add_parser("report", parents=[inputs, common],
+    p = add_parser("report", parents=[inputs, common],
                        help="rarity of relevant retrieved documents, rarest first")
     p.add_argument("--topic", default=None)
     p.set_defaults(func=_cmd_report)

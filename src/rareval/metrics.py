@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, checked_counts, is_depth
 from .rarity import rarity_of_counts
+from .trec_io import intern
 
 Formulation = Literal["additive", "mixture"]
 
@@ -113,43 +114,52 @@ def score_hits(
 class HitTable:
     """Relevant hits of some rankings, left-aligned, one row per ranking.
 
-    ``docs`` are the relevant documents hit, in first-seen order; ``ranks``,
-    ``columns`` and ``hit`` are rows x hits arrays of each hit's 1-based rank
-    (``inf`` in padding slots), its column in ``docs``, and whether it is one.
+    ``docs`` are the relevant documents hit, in first-seen order, and
+    ``codes`` their codes; ``ranks``, ``columns`` and ``hit`` are rows x hits
+    arrays of each hit's 1-based rank (``inf`` in padding slots), its column
+    in ``docs``, and whether it is one.
     """
 
     docs: tuple[str, ...]
+    codes: np.ndarray
     ranks: np.ndarray
     columns: np.ndarray
     hit: np.ndarray
 
 
 def hit_table(
-    rankings: Sequence[Sequence[str]], relevant: AbstractSet[str], bound: int | None
+    rankings: Sequence[np.ndarray], relevant: np.ndarray, ids: Sequence[str], bound: int | None
 ) -> HitTable:
-    """The relevant hits of each ranking within ``bound`` (``None``: all of it)."""
-    doc_col: dict[str, int] = {}
-    flat: list[tuple[int, int, int, int]] = []  # (row, slot, rank, column) per hit
-    for row, docs in enumerate(rankings):
-        hits = [(rank, doc) for rank, doc in enumerate(docs[:bound], 1) if doc in relevant]
-        flat += [
-            (row, slot, rank, doc_col.setdefault(doc, len(doc_col)))
-            for slot, (rank, doc) in enumerate(hits)
-        ]
-    # Filled from one flat list; an array per ranking costs far more.
-    rows, slots, ranks, cols = np.array(flat, dtype=np.intp).reshape(-1, 4).T
-    shape = (len(rankings), int(slots.max(initial=0)) + 1)
+    """The relevant hits of each ranking of codes within ``bound`` (``None``:
+    all of it); ``relevant`` is a mask over the codes and ``ids`` their doc-ids."""
+    scoped = [codes[:bound] for codes in rankings]
+    lengths = np.fromiter(map(len, scoped), np.intp, len(scoped))
+    flat = np.concatenate(scoped)
+    hit = relevant[flat]
+    rows = np.repeat(np.arange(len(scoped)), lengths)[hit]
+    ranks = (np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths))[hit] + 1
+    per_row = np.bincount(rows, minlength=len(scoped))
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    codes, first, inverse = np.unique(flat[hit], return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # columns in first-seen order, row by row
+    column = np.empty_like(seen)
+    column[seen] = np.arange(seen.size)
+    shape = (len(scoped), max(int(per_row.max(initial=0)), 1))
     rank_grid = np.full(shape, np.inf)
     rank_grid[rows, slots] = ranks
     col_grid = np.zeros(shape, dtype=np.intp)
-    col_grid[rows, slots] = cols
-    return HitTable(tuple(doc_col), rank_grid, col_grid, np.isfinite(rank_grid))
+    col_grid[rows, slots] = column[inverse]
+    codes = codes[seen]
+    docs = tuple(map(ids.__getitem__, codes.tolist()))
+    return HitTable(docs, codes, rank_grid, col_grid, np.isfinite(rank_grid))
 
 
 def _score_one(spec, docs, relevant, bound, n_relevant=1, index=None, topic="") -> float:
-    """One ranking scored as a campaign is: its hit table, each hit's rarity
-    counted in ``index``, then ``score_hits``."""
-    table = hit_table([docs], relevant, bound)
+    """One ranking scored as a campaign is: its hit table over a vocabulary of
+    its own, each hit's rarity counted in ``index``, then ``score_hits``."""
+    vocab, codes = intern([docs])
+    is_relevant = np.fromiter(map(relevant.__contains__, vocab.ids), bool, len(vocab))
+    table = hit_table(codes, is_relevant, vocab.ids, bound)
     if not table.docs:
         return 0.0  # nothing hit scores exactly 0
     rarity = None

@@ -13,15 +13,13 @@ about documents that at least one indexed system retrieved (``S_d >= 1``).
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, UndefinedRarityError
-from .trec_io import Campaign, Run
+from .trec_io import Campaign, Run, union_vocabulary
 
 RarityVariant = Literal["eq2", "revised"]
 
@@ -63,12 +61,19 @@ def check_count_depth(count_depth: int | None) -> None:
 def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> RarityIndex:
     """Count, per (topic, doc), how many distinct systems retrieve it."""
     check_count_depth(count_depth)
-    scopes: dict[str, list[tuple[str, ...]]] = {}
+    vocab, to_union = union_vocabulary(
+        c.vocab for run in campaign.runs for c in run.columns.values()
+    )
+    scopes: dict[str, list[np.ndarray]] = {}
     for run in campaign.runs:
-        for topic, columns in run.columns.items():
-            scopes.setdefault(topic, []).append(columns.docs[:count_depth])
+        for topic, c in run.columns.items():
+            scopes.setdefault(topic, []).append(to_union[c.vocab][c.codes[:count_depth]])
     # A run lists a doc at most once per topic, so occurrences count systems.
-    counts = {topic: dict(Counter(chain.from_iterable(s))) for topic, s in scopes.items()}
+    counts: dict[str, dict[str, int]] = {}
+    for topic, scoped in scopes.items():
+        n = np.bincount(np.concatenate(scoped))
+        found = np.flatnonzero(n)
+        counts[topic] = dict(zip(map(vocab.ids.__getitem__, found.tolist()), n[found].tolist()))
     return RarityIndex(campaign.n_systems, counts, count_depth)
 
 

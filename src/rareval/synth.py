@@ -40,7 +40,7 @@ from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
 from .rarity import RarityIndex, build_rarity_index, is_depth
 from .rng import DEFAULT_SEED, check_seed, substream
-from .trec_io import Campaign, Qrels, Run, RunColumns
+from .trec_io import Campaign, Qrels, Run, RunColumns, Vocabulary, intern
 
 _STREAM_TOPIC = 11
 _STREAM_SKILL = 12
@@ -87,11 +87,14 @@ def _doc_id(j: int) -> str:
     return f"doc{j:05d}"
 
 
-def _ranked(docs: Sequence[str]) -> RunColumns:
-    """Columns for ``docs`` in the given order: scores n..1, ranks 1..n."""
-    n = len(docs)
+def _ranked(codes: np.ndarray, vocab: Vocabulary) -> RunColumns:
+    """Columns for ``codes`` in the given order: scores n..1, ranks 1..n."""
+    n = len(codes)
     return RunColumns(
-        tuple(docs), np.arange(n, 0, -1, dtype=np.float64), np.arange(1, n + 1, dtype=np.int64)
+        codes.astype(np.int32),
+        np.arange(n, 0, -1, dtype=np.float64),
+        np.arange(1, n + 1, dtype=np.int64),
+        vocab,
     )
 
 
@@ -129,7 +132,7 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
     """A deterministic campaign drawn from the spec's generative model."""
     skills = substream(spec.seed, _STREAM_SKILL).uniform(0.15, 0.95, spec.n_systems)
     topic_ids = [f"t{t:03d}" for t in range(spec.n_topics)]
-    ids = np.array([_doc_id(j) for j in range(spec.doc_pool_size)], dtype=object)
+    pool = Vocabulary([_doc_id(j) for j in range(spec.doc_pool_size)])  # shared by every run
 
     shared_orders: dict[str, np.ndarray] = {}
     judgments: dict[str, dict[str, int]] = {}
@@ -137,7 +140,7 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
         rng = substream(spec.seed, _STREAM_TOPIC, t)
         rel = rng.choice(spec.doc_pool_size, size=spec.n_relevant_per_topic, replace=False)
         shared_orders[topic] = rng.permutation(rel)
-        judgments[topic] = dict.fromkeys(ids[rel].tolist(), 1)
+        judgments[topic] = dict.fromkeys(map(pool.ids.__getitem__, rel.tolist()), 1)
 
     runs: list[Run] = []
     for s in range(spec.n_systems):
@@ -148,16 +151,16 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
             take_shared = rng.random(spec.run_depth) < theta
             private = rng.permutation(spec.doc_pool_size)
             picked = _picks(take_shared, private, shared_orders[topic])
-            columns[topic] = _ranked(ids[picked].tolist())
+            columns[topic] = _ranked(picked, pool)
         runs.append(Run.of_columns(f"sys{s:03d}", columns))
     return Campaign(runs, Qrels(judgments, relevance_threshold=1))
 
 
 def _all_known_docs(campaign: Campaign) -> set[str]:
+    """The doc-ids of the campaign's vocabularies and qrels."""
     known: set[str] = set()
-    for run in campaign.runs:
-        for columns in run.columns.values():
-            known.update(columns.docs)
+    for vocab in {c.vocab for run in campaign.runs for c in run.columns.values()}:
+        known.update(vocab.ids)
     for by_doc in campaign.qrels.judgments.values():
         known.update(by_doc)
     return known
@@ -176,7 +179,8 @@ def _fresh_doc_ids(campaign: Campaign, tag: str, count: int) -> list[str]:
 
 
 def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
-    return Run.of_columns(tag, {topic: _ranked(docs)})
+    vocab, (codes,) = intern([docs])
+    return Run.of_columns(tag, {topic: _ranked(codes, vocab)})
 
 
 def make_rare_system(
@@ -283,8 +287,11 @@ def rank_trajectory(
         index = build_rarity_index(base, rarity_depth)
         probe = make_common_system(base, topic, d_max, index=index, tag=tag)
         qrels = base.qrels
-    docs = probe.docs(topic)
-    probes = [_build_run(f"{tag} D={d}", topic, docs[:d]) for d in range(1, d_max + 1)]
+    columns = probe.columns[topic]
+    probes = [
+        Run.of_columns(f"{tag} D={d}", {topic: _ranked(columns.codes[:d], columns.vocab)})
+        for d in range(1, d_max + 1)
+    ]
     stacked = Campaign(base.runs + probes, qrels)
     row = {system: i for i, system in enumerate(stacked.system_ids)}
     base_rows = [row[system] for system in base.system_ids]

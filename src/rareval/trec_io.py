@@ -8,22 +8,34 @@ descending score with ties broken by descending lexicographic doc-id (the
 rank column is ignored unless ``order="rank-field"`` is requested).
 
 A ``Run`` stores each topic's ranking as columns in canonical order
-(``RunColumns``): a tuple of doc-ids, a read-only float64 score array and a
-read-only int64 rank-field array. ``Run.rankings`` shows them as
-``RunEntry`` tuples, built on each access.
+(``RunColumns``): int32 codes into a ``Vocabulary`` (``ids[code]`` is the
+doc-id), a read-only float64 score array and a read-only int64 rank-field
+array. ``RunColumns.docs`` and ``Run.rankings`` (``RunEntry`` tuples) are
+views built from the codes on each access. The runs of one
+``load_campaign`` share one vocabulary; a ``Run`` built from entries, as
+the line-by-line parser builds one, interns into a vocabulary of its own.
+``union_vocabulary`` maps any mix of them into one.
 
-``parse_run_file`` reads a source whole and parses it in one vectorised
-pass: one ``split()``, a per-line field count over the bytes, Python's own
-``int`` and ``float`` mapped over the rank and score columns, and one
-``lexsort`` into canonical order. That pass accepts only what it can prove
-the line-by-line parser reads the same way: ASCII text whose only
-whitespace is space, tab and ``\\n``, with six fields on every non-blank
-line, finite scores, one run tag and no repeated (topic, doc). Anything
-else (``\\r``, which reading as text turns into a line break; whitespace
-that ``str.split`` knows and ``bytes.split`` does not; NUL, which numpy's
-fixed-width strings drop; any non-ASCII byte; and every malformed file)
-goes to the line-by-line parser. It is the only source of parse errors, so
-their messages and line numbers do not depend on the fast pass.
+``parse_run_file`` and ``load_campaign`` read each source whole and parse
+it in two phases. Phase one, per file (``_scan``): a per-line field count
+over the bytes, one ``bytes.split()``, Python's own ``int`` and ``float``
+mapped over the rank and score columns (ASCII bytes read as ``str`` does),
+and each doc-id numbered by a dict shared by all the campaign's files.
+Phase two, after the last file (``_assemble``): the doc-ids are sorted
+once, so a code's order is its doc-id's order, and decoded once; each file
+is put in canonical order by one ``argsort`` of a composite int64 key
+(topic, descending score or ascending rank field, descending code) whose
+first two parts are ranked jointly, so that it stays below lines x
+vocabulary size, at most 2**62 under ``_CODE_LIMIT``. The fast pass
+accepts only what it can prove the line-by-line parser reads the same way:
+ASCII text whose only whitespace is space, tab and ``\\n``, with six
+fields on every non-blank line, finite scores, one run tag and no repeated
+(topic, doc). Anything else (``\\r``, which reading as text turns into a
+line break; whitespace that ``str.split`` knows and ``bytes.split`` does
+not; NUL and the other control bytes; any non-ASCII byte; and every
+malformed file) goes to the line-by-line parser. It is the only source of
+parse errors, so their messages and line numbers do not depend on the fast
+pass.
 """
 
 from __future__ import annotations
@@ -53,12 +65,69 @@ class RunEntry:
     rank_field: int
 
 
-class RunColumns(NamedTuple):
-    """One topic's ranking in canonical order, as columns."""
+class Vocabulary:
+    """Doc-ids numbered by code: ``ids[code]`` is a doc-id and ``code_of``
+    maps it back. Runs that share a vocabulary share one ``str`` per doc."""
 
-    docs: tuple[str, ...]
+    __slots__ = ("ids", "_code_of")
+
+    def __init__(self, ids: list[str], code_of: dict[str, int] | None = None):
+        self.ids = ids
+        self._code_of = code_of
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def code_of(self) -> dict[str, int]:
+        if self._code_of is None:
+            self._code_of = dict(zip(self.ids, range(len(self.ids))))
+        return self._code_of
+
+
+def intern(groups: Iterable[Iterable[str]]) -> tuple[Vocabulary, list[np.ndarray]]:
+    """One new vocabulary over the doc-ids of ``groups``, in first-seen order,
+    and each group's read-only int32 codes into it."""
+    code_of: dict[str, int] = {}
+    # setdefault's default is evaluated first, so a new doc gets the next code.
+    codes = [
+        _read_only(np.array([code_of.setdefault(doc, len(code_of)) for doc in docs], np.int32))
+        for docs in groups
+    ]
+    return Vocabulary(list(code_of), code_of), codes
+
+
+def union_vocabulary(
+    vocabs: Iterable[Vocabulary],
+) -> tuple[Vocabulary, dict[Vocabulary, np.ndarray]]:
+    """One vocabulary over ``vocabs`` and, per vocabulary, the array mapping its
+    codes into it: the first maps by the identity and is the union's prefix."""
+    distinct = list(dict.fromkeys(vocabs)) or [Vocabulary([])]
+    base = distinct[0]
+    ids, code_of = base.ids, base.code_of
+    extra: dict[str, int] = {}
+    maps = {base: np.arange(len(ids))}
+    for vocab in distinct[1:]:
+        maps[vocab] = np.array(
+            [code_of[d] if d in code_of else extra.setdefault(d, len(ids) + len(extra))
+             for d in vocab.ids],
+            dtype=np.intp,
+        )
+    return (Vocabulary(ids + list(extra)) if extra else base), maps
+
+
+class RunColumns(NamedTuple):
+    """One topic's ranking in canonical order, as columns: codes into
+    ``vocab`` and the doc-ids they stand for, as ``docs``."""
+
+    codes: np.ndarray  # int32
     scores: np.ndarray  # float64
     rank_fields: np.ndarray  # int64
+    vocab: Vocabulary
+
+    @property
+    def docs(self) -> tuple[str, ...]:
+        return tuple(map(self.vocab.ids.__getitem__, self.codes.tolist()))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -70,21 +139,23 @@ class Run:
     """One system's ranked document lists, keyed by topic.
 
     ``Run(system_id, rankings)`` takes ``RunEntry`` sequences already in
-    canonical order and converts them to columns once; ``Run.of_columns``
-    takes the columns themselves.
+    canonical order and interns their doc-ids into a vocabulary of its own;
+    ``Run.of_columns`` takes the columns themselves.
     """
 
     __slots__ = ("system_id", "columns")
 
     def __init__(self, system_id: str, rankings: Mapping[str, Sequence[RunEntry]]):
         self.system_id = system_id
+        vocab, codes = intern([e.doc for e in entries] for entries in rankings.values())
         self.columns: dict[str, RunColumns] = {
             topic: RunColumns(
-                tuple(e.doc for e in entries),
+                topic_codes,
                 _read_only(np.array([e.score for e in entries], dtype=np.float64)),
                 _read_only(np.array([e.rank_field for e in entries], dtype=np.int64)),
+                vocab,
             )
-            for topic, entries in rankings.items()
+            for (topic, entries), topic_codes in zip(rankings.items(), codes)
         }
 
     @classmethod
@@ -93,7 +164,9 @@ class Run:
         run = cls.__new__(cls)
         run.system_id = system_id
         run.columns = {
-            topic: RunColumns(c.docs, _read_only(c.scores), _read_only(c.rank_fields))
+            topic: RunColumns(
+                _read_only(c.codes), _read_only(c.scores), _read_only(c.rank_fields), c.vocab
+            )
             for topic, c in columns.items()
         }
         return run
@@ -284,15 +357,59 @@ def _canonical(entries: list[RunEntry], order: OrderPolicy) -> tuple[RunEntry, .
     return tuple(sorted(by_doc, key=lambda e: e.rank_field))
 
 
-def _parse_run_columns(data: bytes, order: OrderPolicy) -> Run | None:
-    """The run in ``data`` from one vectorised pass, or None when only the
-    line-by-line parser can be trusted with it (see the module docstring)."""
+# Token ids, and so codes, stay below this, as do a file's lines: the
+# composite sort key of ``_assemble`` is then below 2**62.
+_CODE_LIMIT = 2**31
+
+
+class _Interner:
+    """The doc-id tokens of a campaign's run files, each numbered by one dict
+    the first time it is read; ``vocabulary`` sorts them once, at the end."""
+
+    def __init__(self) -> None:
+        self.token_ids: dict[bytes, int] = {}
+        self.used = 0  # ids handed out: one per token read, so they may be sparse
+
+    def ids(self, tokens: list[bytes]) -> np.ndarray | None:
+        """Each token's id, or None once the ids would reach ``_CODE_LIMIT``."""
+        n, start = len(tokens), self.used
+        if start + n > _CODE_LIMIT:
+            return None
+        self.used += n
+        return np.fromiter(
+            map(self.token_ids.setdefault, tokens, range(start, start + n)), np.int32, n
+        )
+
+    def vocabulary(self) -> tuple[Vocabulary, np.ndarray]:
+        """The doc-ids in sorted order, each decoded once, and each token id's
+        code: its doc-id's sort rank, so code order is doc-id order."""
+        tokens = sorted(self.token_ids)
+        code = np.zeros(self.used, np.int32)
+        code[list(map(self.token_ids.__getitem__, tokens))] = np.arange(len(tokens))
+        return Vocabulary(b" ".join(tokens).decode("ascii").split()), code
+
+
+class _Scan(NamedTuple):
+    """One run file read by the fast pass, its doc-ids not yet coded."""
+
+    tag: str
+    topics: list[str]  # in order of first appearance
+    topic: np.ndarray  # each line's index into topics, int64
+    ids: np.ndarray  # each line's doc token id, int32
+    scores: np.ndarray
+    rank_fields: np.ndarray
+
+
+def _scan(data: bytes, interner: _Interner) -> _Scan | None:
+    """Phase one of the fast pass: the file in ``data`` checked, split and its
+    doc-ids interned, or None when only the line-by-line parser can be trusted
+    with it (see the module docstring)."""
     if not data.isascii():
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    # Each byte up to 0x20 must be a space, tab or "\n": the other control
-    # bytes are line breaks to a text read ("\r"), whitespace to str.split
-    # alone (0x1c-0x1f), or dropped by numpy's fixed-width strings (NUL).
+    # Each byte up to 0x20 must be a space, tab or "\n": "\r" is a line
+    # break to a text read and 0x1c-0x1f are whitespace to str.split alone;
+    # the other control bytes go to the line-by-line parser too.
     separator = raw <= 0x20
     if np.count_nonzero(separator) != sum(map(data.count, (b" ", b"\t", b"\n"))):
         return None
@@ -301,10 +418,10 @@ def _parse_run_columns(data: bytes, order: OrderPolicy) -> Run | None:
     per_line = np.diff(fields_before, prepend=0, append=starts.size)
     if starts.size == 0 or ((per_line != 0) & (per_line != 6)).any():
         return None
-    tokens = data.decode("ascii").split()
+    tokens = data.split()  # ASCII: int and float read bytes as they read str
     n = len(tokens) // 6
     tags = tokens[5::6]
-    if tags.count(tags[0]) != n:
+    if n >= _CODE_LIMIT or tags.count(tags[0]) != n:
         return None
     try:
         rank_fields = np.fromiter(map(int, tokens[3::6]), dtype=np.int64, count=n)
@@ -313,25 +430,46 @@ def _parse_run_columns(data: bytes, order: OrderPolicy) -> Run | None:
         return None
     if not np.isfinite(scores).all():
         return None
-    topic_of = tokens[0::6]
-    topics = list(dict.fromkeys(topic_of))  # in order of first appearance
-    code = {topic: i for i, topic in enumerate(topics)}
-    topic_code = np.fromiter(map(code.__getitem__, topic_of), dtype=np.int64, count=n)
-    docs = tokens[2::6]
-    # Codes from a sorted unique, so code order is doc-id order.
-    doc_code = np.unique(np.array(docs, dtype="S"), return_inverse=True)[1]
-    pairs = np.sort(topic_code * n + doc_code)
+    first_line: dict[bytes, int] = {}  # per topic, so topics keep file order
+    line = np.fromiter(map(first_line.setdefault, tokens[0::6], range(n)), np.int64, n)
+    index = np.zeros(n, np.int64)
+    index[list(first_line.values())] = np.arange(len(first_line))
+    topic = index[line]
+    ids = interner.ids(tokens[2::6])
+    if ids is None:
+        return None
+    pairs = np.sort(topic * interner.used + ids)
     if (pairs[1:] == pairs[:-1]).any():
         return None  # a repeated (topic, doc)
-    first_key = -scores if order == "score" else rank_fields
-    perm = np.lexsort((-doc_code, first_key, topic_code))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(topic_code)))).tolist()
-    docs = list(map(docs.__getitem__, perm.tolist()))
-    scores, rank_fields = scores[perm], rank_fields[perm]
-    return Run.of_columns(tags[0], {
-        topic: RunColumns(tuple(docs[a:b]), scores[a:b], rank_fields[a:b])
-        for topic, a, b in zip(topics, bounds, bounds[1:])
+    topics = [t.decode("ascii") for t in first_line]
+    return _Scan(tags[0].decode("ascii"), topics, topic, ids, scores, rank_fields)
+
+
+def _assemble(scan: _Scan, vocab: Vocabulary, code: np.ndarray, order: OrderPolicy) -> Run:
+    """Phase two: the scanned file's run in canonical order, its doc-ids coded
+    into ``vocab`` by ``code``."""
+    codes = code[scan.ids]
+    n, size = codes.size, len(vocab)
+    # One argsort of (topic, first key, descending code) as one int64: ranking
+    # the (topic, first key) pairs jointly keeps it below n * size <= 2**62.
+    first_key = -scan.scores if order == "score" else scan.rank_fields
+    first = np.unique(first_key, return_inverse=True)[1]
+    pair = np.unique(scan.topic * n + first, return_inverse=True)[1]
+    perm = np.argsort(pair * size + (size - 1 - codes))
+    codes, scores, rank_fields = codes[perm], scan.scores[perm], scan.rank_fields[perm]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(scan.topic)))).tolist()
+    return Run.of_columns(scan.tag, {
+        topic: RunColumns(codes[a:b], scores[a:b], rank_fields[a:b], vocab)
+        for topic, a, b in zip(scan.topics, bounds, bounds[1:])
     })
+
+
+def _parse_run_columns(data: bytes, order: OrderPolicy) -> Run | None:
+    """The run in ``data`` from the fast pass, against a vocabulary of its
+    own, or None when only the line-by-line parser can be trusted with it."""
+    interner = _Interner()
+    scan = _scan(data, interner)
+    return None if scan is None else _assemble(scan, *interner.vocabulary(), order)
 
 
 def _parse_run_lines(
@@ -390,6 +528,39 @@ def _parse_run_lines(
     return Run(tag, {t: _canonical(es, order) for t, es in per_topic.items()})
 
 
+def _read_run(
+    source, interner: _Interner, dedup: DedupPolicy, order: OrderPolicy
+) -> Run | _Scan:
+    """One run file, scanned into ``interner`` by the fast pass, or else
+    parsed whole by the line-by-line parser."""
+    content = _read(source)
+    if isinstance(content, bytes):
+        scan = _scan(content, interner)
+    else:  # without "\r" a text stream's lines all end in "\n" whatever its newline mode
+        text = "".join(content)
+        scan = _scan(text.encode("ascii"), interner) if text.isascii() else None
+    if scan is None:
+        return _parse_run_lines(_text_lines(content), _source_name(source), dedup, order)
+    return scan
+
+
+def _parse_runs(sources: Sequence, dedup: DedupPolicy, order: OrderPolicy) -> list[Run]:
+    """The runs of ``sources``. Those the fast pass reads share one
+    vocabulary, sorted once after the last file; those the line-by-line
+    parser reads each have their own."""
+    if dedup not in ("reject", "first"):
+        raise ConfigError(f"unknown dedup policy {dedup!r} (expected 'reject' or 'first')")
+    if order not in ("score", "rank-field"):
+        raise ConfigError(f"unknown ordering policy {order!r} (expected 'score' or 'rank-field')")
+    interner = _Interner()
+    runs = [_read_run(source, interner, dedup, order) for source in sources]
+    vocab, code = interner.vocabulary()
+    for i, run in enumerate(runs):  # each scan is dropped once assembled
+        if not isinstance(run, Run):
+            runs[i] = _assemble(run, vocab, code, order)
+    return runs
+
+
 def parse_run_file(
     source,
     *,
@@ -401,19 +572,7 @@ def parse_run_file(
     ``dedup`` controls repeated (topic, doc) pairs: ``"reject"`` fails loudly,
     ``"first"`` silently keeps the first occurrence in file order.
     """
-    if dedup not in ("reject", "first"):
-        raise ConfigError(f"unknown dedup policy {dedup!r} (expected 'reject' or 'first')")
-    if order not in ("score", "rank-field"):
-        raise ConfigError(f"unknown ordering policy {order!r} (expected 'score' or 'rank-field')")
-    content = _read(source)
-    if isinstance(content, bytes):
-        run = _parse_run_columns(content, order)
-    else:  # without "\r" a text stream's lines all end in "\n" whatever its newline mode
-        text = "".join(content)
-        run = _parse_run_columns(text.encode("ascii"), order) if text.isascii() else None
-    if run is None:
-        run = _parse_run_lines(_text_lines(content), _source_name(source), dedup, order)
-    return run
+    return _parse_runs([source], dedup, order)[0]
 
 
 def parse_qrels(source, relevance_threshold: int = 1) -> Qrels:
@@ -463,10 +622,11 @@ def load_campaign(
     order: OrderPolicy = "score",
     relevance_threshold: int = 1,
 ) -> Campaign:
-    """Parse a full run set plus qrels into a Campaign."""
+    """Parse a full run set plus qrels into a Campaign; the runs the fast
+    pass reads share one vocabulary."""
     if not run_sources:
         raise DataError("no run sources given")
-    runs = [parse_run_file(src, dedup=dedup, order=order) for src in run_sources]
+    runs = _parse_runs(run_sources, dedup, order)
     where: dict[str, str] = {}
     for run, src in zip(runs, run_sources):
         if run.system_id in where:
@@ -488,9 +648,12 @@ def format_run(run: Run) -> str:
     out: list[str] = []
     for topic in run.topics:
         c = run.columns[topic]
+        ids = c.vocab.ids
         out.extend(
-            f"{topic} Q0 {doc} {rank} {score!r} {run.system_id}"
-            for doc, rank, score in zip(c.docs, c.rank_fields.tolist(), c.scores.tolist())
+            f"{topic} Q0 {ids[code]} {rank} {score!r} {run.system_id}"
+            for code, rank, score in zip(
+                c.codes.tolist(), c.rank_fields.tolist(), c.scores.tolist()
+            )
         )
     return "\n".join(out) + ("\n" if out else "")
 

@@ -1,8 +1,9 @@
+import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rareval.campaign
@@ -13,8 +14,11 @@ from rareval import (
     Qrels,
     SynthSpec,
     evaluate_campaign,
+    format_run,
     generate_campaign,
     kendall_tau,
+    load_campaign,
+    make_rare_system,
     mean_scores,
     rank_systems,
 )
@@ -325,3 +329,50 @@ class TestOneScorerPerEvaluation:
 
     def test_no_specs_give_no_matrices(self, toy4):
         assert evaluate_campaign(toy4, []) == []
+
+
+def _scores_or_error(scorer, rows, spec):
+    try:
+        return scorer.scores(rows, spec).tobytes()
+    except RarevalError as exc:
+        return type(exc), str(exc)
+
+
+class TestMixedVocabularies:
+    """Runs built in memory each intern into a vocabulary of their own; loaded
+    runs share one. The scorer maps them into one union either way."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        kind=st.sampled_from(["p", "ap", "p_rareness", "ap_rareness", "p_mixture"]),
+        rarity_depth=st.sampled_from([None, 1, 3]),
+        ap_depth=st.sampled_from(["cutoff", None]),
+        d=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_hand_built_runs_and_a_probe_score_as_the_same_files_loaded(
+        self, tmp_path_factory, campaign, kind, rarity_depth, ap_depth, d, data
+    ):
+        topic = data.draw(st.sampled_from(campaign.judged_topics))
+        tag = data.draw(st.sampled_from(["a-probe", "z-probe"]))  # its row first or last
+        probe, qrels = make_rare_system(campaign, topic, d, tag=tag)
+        mixed = Campaign([*campaign.runs, probe], qrels)
+        assume(all(format_run(run) for run in mixed.runs))  # no empty run file
+        folder = tmp_path_factory.mktemp("runs")
+        paths = []
+        for i, run in enumerate(mixed.runs):
+            paths.append(folder / f"{i}.run")
+            paths[-1].write_text(format_run(run))
+        loaded = Campaign(load_campaign(paths, io.StringIO("")).runs, qrels)
+        assert len({c.vocab for run in loaded.runs for c in run.columns.values()}) == 1
+        spec = data.draw(metric_specs(kind))
+        depths = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
+        n = mixed.n_systems
+        subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # revised rarity over a single row
+            for rows in (np.arange(n), subset):
+                assert _scores_or_error(_SubsetScorer(mixed, spec, **depths), rows, spec) == (
+                    _scores_or_error(_SubsetScorer(loaded, spec, **depths), rows, spec)
+                )

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 import warnings
@@ -515,6 +516,71 @@ class TestFlagsEachCommandReads:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err and flag in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval", "--metr", "P@5"),  # --metric
+            ("stability", "--thr", "2"),  # --threads
+            ("stability", "--sample", "3"),  # --sample-size
+            ("compare", "--alpha", "1"),  # --alphas
+            ("trajectory", "--alpha", "1"),  # --alphas
+        ],
+    )
+    def test_an_abbreviated_flag_exits_2(self, toy_files, capsys, command, flag, value):
+        runs, qrels = toy_files
+        argv = [command, "--runs", *runs, "--qrels", qrels, "--cutoff", "3"]
+        if command == "trajectory":
+            argv += ["--kind", "rare", "--topic", "t1", "--d-max", "2"]
+        code, out, err = run_cli([*argv, flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err and flag in err
+
+
+class TestInputOrderInvariance:
+    """The run-file order and the line order within files change nothing:
+    every doc-id gets its code only once all files are read."""
+
+    def write_campaign(self, folder, order, shuffle_seed):
+        campaign = generate_campaign(SynthSpec(6, 3, 8, 60, 0.5, 15, seed=2))
+        rng = random.Random(shuffle_seed)
+        folder.mkdir()
+        paths = []
+        for i, run in enumerate(campaign.runs):
+            lines = [  # scores tie in threes, so the doc-id breaks ties
+                f"{topic} Q0 {doc} {rank} {(15 - rank) // 3}.5 {run.system_id}"
+                for topic in run.topics
+                for rank, doc in enumerate(run.docs(topic), 1)
+            ]
+            rng.shuffle(lines)
+            path = folder / f"{run.system_id}.run"
+            # CRLF sends one file to the line-by-line parser, with its own vocabulary.
+            path.write_bytes(("\r\n" if i == 2 else "\n").join(lines).encode() + b"\n")
+            paths.append(str(path))
+        qrels = folder / "qrels.txt"
+        qrels.write_text("".join(
+            f"{topic} 0 {doc} 1\n" for topic, by_doc in campaign.qrels.judgments.items()
+            for doc in by_doc
+        ))
+        return [paths[i] for i in order], str(qrels)
+
+    def test_eval_and_compare_print_the_same_bytes(self, tmp_path, capsys):
+        outputs = set()
+        for k, order in enumerate([range(6), reversed(range(6)), [3, 0, 5, 1, 4, 2]]):
+            runs, qrels = self.write_campaign(tmp_path / str(k), list(order), k)
+            inputs = ["--runs", *runs, "--qrels", qrels, "--cutoff", "5"]
+            printed = []
+            for command in (
+                ["eval", "--metric", "P@5_rareness", "--metric", "AP_rareness", "--per-topic"],
+                ["eval", "--metric", "P@5", "--order", "rank-field", "--rarity-depth", "4"],
+                ["compare"],
+            ):
+                code, out, _ = run_cli([*command, *inputs], capsys)
+                assert code == 0
+                printed.append(out)
+            outputs.add(tuple(printed))
+        assert len(outputs) == 1
 
 
 class TestTrajectoryCommand:

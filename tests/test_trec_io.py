@@ -2,6 +2,7 @@ import dataclasses
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,13 @@ from rareval import (
     parse_run_file,
 )
 from rareval.errors import ConfigError, RarevalError
-from rareval.trec_io import _parse_run_columns, _parse_run_lines
+from rareval.trec_io import (
+    _CODE_LIMIT,
+    _Interner,
+    _parse_run_columns,
+    _parse_run_lines,
+    _scan,
+)
 
 
 def run_of(text, **kw):
@@ -430,3 +437,72 @@ class TestFastPassAgreesWithTheLineParser:
     )
     def test_the_fast_pass_declines_what_it_cannot_prove(self, data):
         assert _parse_run_columns(data, "score") is None
+
+
+def _retagged(data, i, disjoint):
+    """Run-file bytes with run tag ``A<i>`` (``B<i>``) and, if ``disjoint``,
+    every doc-id (and any token starting like one) prefixed by ``f<i>``."""
+    data = data.replace(b"A", b"A%d" % i).replace(b"B", b"B%d" % i)
+    return re.sub(rb"(?<![^\s])(?=[dDabc])", b"f%d" % i, data) if disjoint else data
+
+
+class TestLoadCampaignSharesOneVocabulary:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        files=st.lists(run_files(), min_size=1, max_size=4),
+        disjoint=st.booleans(),
+        dedup=st.sampled_from(["reject", "first"]),
+        order=st.sampled_from(["score", "rank-field"]),
+    )
+    def test_same_runs_as_the_line_parser_file_by_file(self, files, disjoint, dedup, order):
+        files = [_retagged(data, i, disjoint) for i, data in enumerate(files)]
+
+        def sources():
+            return [io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") for data in files]
+
+        try:
+            expected = [
+                _parse_run_lines(
+                    io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"),
+                    "<stream>", dedup, order,
+                )
+                for data in files
+            ]
+        except RarevalError as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_campaign(sources(), io.StringIO(""), dedup=dedup, order=order)
+            assert str(raised.value) == str(exc)
+            return
+        campaign = load_campaign(sources(), io.StringIO(""), dedup=dedup, order=order)
+        for run, want in zip(campaign.runs, expected, strict=True):
+            assert run.system_id == want.system_id
+            assert list(run.columns) == list(want.columns)
+            for topic, columns in want.columns.items():
+                got = run.columns[topic]
+                assert got.docs == columns.docs
+                assert got.scores.tobytes() == columns.scores.tobytes()
+                assert got.rank_fields.tolist() == columns.rank_fields.tolist()
+        fast = [
+            run for run, data in zip(campaign.runs, files)
+            if _parse_run_columns(data, order) is not None
+        ]
+        assert len({id(c.vocab) for run in fast for c in run.columns.values()}) <= 1
+
+
+class TestCompositeSortKey:
+    def test_the_largest_file_and_vocabulary_admitted_cannot_wrap_int64(self):
+        lines, size = _CODE_LIMIT - 1, _CODE_LIMIT  # a file's lines stay below the limit
+        # Dedup key: topic index * ids handed out + token id.
+        assert (lines - 1) * _CODE_LIMIT + (_CODE_LIMIT - 1) < 2**63
+        # (topic, first key) rank before its joint ranking: topic * lines + rank.
+        assert (lines - 1) * lines + (lines - 1) < 2**63
+        # Sort key: joint rank * vocabulary size + descending code.
+        assert (lines - 1) * size + (size - 1) < 2**63
+        assert size - 1 <= np.iinfo(np.int32).max  # every code fits int32
+
+    def test_the_guard_refuses_ids_past_the_limit(self):
+        interner = _Interner()
+        interner.used = _CODE_LIMIT - 1
+        assert interner.ids([b"d1", b"d2"]) is None
+        assert interner.ids([b"d1"]).tolist() == [_CODE_LIMIT - 1]
+        assert _scan(b"t1 Q0 d1 1 1.0 A\n", interner) is None

@@ -24,18 +24,23 @@ bit for bit. Subset trials run one at a time. Nothing runs in threads.
 
 The HSD critical value comes from the studentized-range distribution: its
 CDF is the Copenhaver & Holland (1988) double integral, both integrals on
-fixed Gauss-Legendre rules in one numpy expression, and its quantile is
-found by bisection (within 2e-7 of scipy's up to 300 groups and df 1 to
-20000); the test suite also checks it against published tables.
+fixed Gauss-Legendre rules in one numpy expression, and its quantile is the
+root of that CDF found by Brent's method (9 to 14 CDF evaluations at 64
+groups; within 4e-10 of the former bisection and 2e-7 of scipy's up to 300
+groups and df 1 to 20000). The test suite also checks it against published
+tables and holds it to the former scipy-based CDF within 1e-12.
 
-Only the studentized range needs scipy, and only ``scipy.special``, imported
-on first use, so of the CLI commands only ``discpower`` loads scipy. Tau-b
-is computed here with numpy and exact integer pair counts.
+No command loads scipy. The normal CDF on the quadrature grid is Cephes'
+rational erf/erfc in numpy; lgamma, the regularized incomplete gamma (series
+and continued fraction) and its inverse (Newton) are scalar ``math`` code.
+Tau-b is computed here with numpy and exact integer pair counts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -131,62 +136,274 @@ _U_LO, _U_HI = -9.0, 9.0
 _W_MAX = 20.0
 _S_TAIL = 1e-13
 
+# Cephes' rational approximations (ndtr.c): erf(z) = z T(z^2) / U(z^2) for
+# z < 1, and erfc(z) = exp(-z^2) P(z) / Q(z) for z >= 1, whose absolute error
+# stays below 1e-16 out to where erfc underflows. Highest degree first.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+# Stirling's series for ln Gamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2): 1 / a
+# times a polynomial in 1 / a^2, highest degree first. Its truncation error is
+# below 1e-16 from a = 10 up.
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
+def _horner(coefficients: tuple, x):
+    """The polynomial with ``coefficients`` (highest degree first) at ``x``."""
+    value = coefficients[0] * x
+    value += coefficients[1]
+    for c in coefficients[2:]:
+        value *= x
+        value += c
+    return value
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each element, within 2e-16 absolute."""
+    z = np.abs(x)
+    z *= math.sqrt(0.5)
+    tail = np.square(z)  # becomes erfc(z) / 2 = Phi(-|x|)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    tail *= _horner(_ERFC_P, z)
+    tail /= _horner(_ERFC_Q, z)
+    tail *= 0.5
+    near = z < 1.0
+    z_near = z[near]
+    z2 = z_near * z_near
+    tail[near] = 0.5 - 0.5 * (z_near * _horner(_ERF_T, z2) / _horner(_ERF_U, z2))
+    np.subtract(1.0, tail, out=tail, where=x > 0.0)
+    return tail
+
+
+def _gamma_kernel(a: float, x: float) -> float:
+    """``x**a * exp(-x) / Gamma(a)``, for ``x > 0``.
+
+    From a = 10 up, it is taken as ``sqrt(a / 2 pi) * exp(a (log1p(y) - y))``
+    with ``y = (x - a) / a``, over Stirling's series: the exponent then errs
+    by about ``|x - a|`` ulps, where the plain ``a log x - x - lgamma(a)``
+    would lose ``a log a`` ulps to cancellation.
+    """
+    if a < 10.0:
+        return math.exp(a * math.log(x) - x - math.lgamma(a))
+    y = (x - a) / a
+    stirling = _horner(_STIRLING, 1.0 / (a * a)) / a
+    return math.sqrt(a / (2.0 * math.pi)) * math.exp(a * (math.log1p(y) - y) - stirling)
+
+
+def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
+    """The regularized incomplete gamma functions (P(a, x), Q(a, x)).
+
+    The series for P below ``x = a + 1``, and above it the continued fraction
+    for Q by the modified Lentz method (Numerical Recipes, 6.2).
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    kernel = _gamma_kernel(a, x)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        p = kernel * total
+        return p, 1.0 - p
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    fraction = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) >= _TINY else _TINY
+        delta = d * c
+        fraction *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    q = kernel * fraction
+    return 1.0 - q, q
+
+
+def _gamma_tail_inverse(a: float, p: float, upper: bool) -> float:
+    """The ``x`` with ``Q(a, x) = p`` if ``upper``, else ``P(a, x) = p``.
+
+    Newton on ``log x``, where the log of either tail is concave: started on
+    the side of the root where the tail is below ``p``, every step lands
+    nearer the root on that same side. The start is the Wilson-Hilferty cube
+    with ``sqrt(-2 log p)`` in place of the normal quantile or, where that
+    cube is not positive, the x at which the bound ``P(a, x) <
+    x**a / Gamma(a + 1)`` equals ``p``; it is stepped outward until the tail
+    is below ``p``.
+    """
+    tail_index = 1 if upper else 0
+    log_p = math.log(p)
+    z = math.sqrt(-2.0 * log_p)
+    cube = 1.0 - 1.0 / (9.0 * a) + (z if upper else -z) / (3.0 * math.sqrt(a))
+    x = a * cube**3 if cube > 0.0 else math.exp((log_p + math.lgamma(a + 1.0)) / a)
+    while _regularized_gamma(a, x)[tail_index] > p:
+        x = 2.0 * x if upper else 0.5 * x
+    log_x = math.log(x)
+    for _ in range(100):
+        tail = _regularized_gamma(a, x)[tail_index]
+        # d log(tail) / d log(x) is -+ kernel / tail.
+        step = (math.log(tail) - log_p) * tail / _gamma_kernel(a, x)
+        log_x += step if upper else -step
+        x = math.exp(log_x)
+        if abs(step) <= 1e-14:
+            break
+    return x
+
+
+@lru_cache(maxsize=None)
+def _s_rule(df: int) -> tuple[float, float, float]:
+    """The s-range [lo, hi] holding all but 2 * _S_TAIL of s, and ln of s's
+    density normaliser.
+
+    s is the scaled chi variable sqrt(chi2_df / df); s^2 * df / 2 is
+    gamma(df / 2) distributed, so the gamma tails' inverses bound it.
+    """
+    half = df / 2.0
+    lo = math.sqrt(_gamma_tail_inverse(half, _S_TAIL, upper=False) / half)
+    hi = math.sqrt(_gamma_tail_inverse(half, _S_TAIL, upper=True) / half)
+    ln_norm = (1.0 - half) * math.log(2.0) + half * math.log(df) - math.lgamma(half)
+    return lo, hi, ln_norm
+
 
 @lru_cache(maxsize=None)
 def _quadrature_grids() -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Nodes u on [-9, 9], weight * phi(u), Phi(u), and the s rule on [-1, 1]."""
-    from scipy.special import ndtr
-
     nodes, weights = np.polynomial.legendre.leggauss(_U_POINTS)
     u = 0.5 * (_U_HI - _U_LO) * nodes + 0.5 * (_U_HI + _U_LO)
     u_w = 0.5 * (_U_HI - _U_LO) * weights
     phi_u = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return u, u_w * phi_u, ndtr(u), np.polynomial.legendre.leggauss(_S_POINTS)
+    return u, u_w * phi_u, _ndtr(u), np.polynomial.legendre.leggauss(_S_POINTS)
+
+
+def _check_range_shape(n_groups, df) -> None:
+    if not is_depth(n_groups) or n_groups < 2:
+        raise ConfigError(f"studentized range needs an integer n_groups >= 2, got {n_groups!r}")
+    if not is_depth(df):
+        raise ConfigError(f"studentized range needs an integer df >= 1, got {df!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def studentized_range_cdf(q: float, n_groups: int, df: int) -> float:
     """CDF of the studentized range with ``n_groups`` means and ``df`` dof."""
-    if n_groups < 2:
-        raise ConfigError(f"studentized range needs >= 2 groups, got {n_groups}")
-    if df < 1:
-        raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
+    _check_range_shape(n_groups, df)
+    if not _is_real(q) or math.isnan(q):
+        raise ConfigError(f"studentized range q must be a number, got {q!r}")
     if q <= 0.0:
         return 0.0
-    from scipy.special import gammainc, gammaincinv, gammaln, ndtr
-
-    # s is the scaled chi variable sqrt(chi2_df / df); s^2 * df / 2 is
-    # gamma(df / 2) distributed, so gammaincinv gives its quantiles.
+    if q == math.inf:
+        return 1.0
     half = df / 2.0
-    lo = math.sqrt(gammaincinv(half, _S_TAIL) / half)
-    hi = math.sqrt(gammaincinv(half, 1.0 - _S_TAIL) / half)
+    lo, hi, ln_norm = _s_rule(df)
     top = min(max(_W_MAX / q, lo), hi)
     u, weighted_phi, ndtr_u, (nodes, weights) = _quadrature_grids()
+    # A u whose Phi(u)**(n_groups - 1) underflows adds nothing to the sum.
+    keep = ndtr_u > math.exp(math.log(_TINY) / (n_groups - 1))
     s = 0.5 * (top - lo) * nodes + 0.5 * (top + lo)
-    ln_norm = (1.0 - half) * math.log(2.0) + half * math.log(df) - gammaln(half)
     ln_pdf = ln_norm + (df - 1.0) * np.log(s) - half * s * s
     s_w = 0.5 * (top - lo) * weights * np.exp(ln_pdf)
-    range_cdf = n_groups * ((ndtr_u - ndtr(u - q * s[:, None])) ** (n_groups - 1) @ weighted_phi)
-    value = s_w @ range_cdf + (1.0 - gammainc(half, half * top * top))
+    # gap**(n_groups - 1) through exp and log: a power underflowing to zero
+    # takes pow's slow path, and log(0) would warn.
+    gap = ndtr_u[keep] - _ndtr(u[keep] - q * s[:, None])
+    ln_gap = np.log(gap, out=np.full_like(gap, -np.inf), where=gap > 0.0)
+    ln_gap *= n_groups - 1
+    range_cdf = n_groups * (np.exp(ln_gap, out=ln_gap) @ weighted_phi[keep])
+    value = s_w @ range_cdf + _regularized_gamma(half, half * top * top)[1]
     return min(1.0, max(0.0, float(value)))
 
 
-@lru_cache(maxsize=None)
+def _brent_root(f, a: float, f_a: float, b: float, f_b: float, rtol: float) -> float:
+    """A root of ``f`` in [a, b], where ``f_a`` and ``f_b`` differ in sign.
+
+    Brent's method (Numerical Recipes, 9.3): inverse quadratic or secant
+    steps that keep a bracket, and a bisection step whenever one would leave
+    it or shrink it too slowly. Stops once the bracket is within ``rtol`` of
+    its end.
+    """
+    c, f_c = b, f_b
+    step = last_step = b - a
+    while True:
+        if (f_b > 0.0) == (f_c > 0.0):
+            c, f_c = a, f_a
+            step = last_step = b - a
+        if abs(f_c) < abs(f_b):
+            a, b, c = b, c, b
+            f_a, f_b, f_c = f_b, f_c, f_b
+        tol = 2.0 * _EPS * abs(b) + 0.5 * rtol * abs(b)
+        half_width = 0.5 * (c - b)
+        if abs(half_width) <= tol or f_b == 0.0:
+            return b
+        if abs(last_step) >= tol and abs(f_a) > abs(f_b):
+            s = f_b / f_a
+            if a == c:
+                p, q = 2.0 * half_width * s, 1.0 - s
+            else:
+                q, r = f_a / f_c, f_b / f_c
+                p = s * (2.0 * half_width * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half_width * q - abs(tol * q), abs(last_step * q)):
+                last_step, step = step, p / q
+            else:
+                step = last_step = half_width
+        else:
+            step = last_step = half_width
+        a, f_a = b, f_b
+        b += step if abs(step) > tol else math.copysign(tol, half_width)
+        f_b = f(b)
+
+
+# Typed, so a cached 3 does not answer for a 3.0 the checks would reject.
+@lru_cache(maxsize=None, typed=True)
 def studentized_range_quantile(level: float, n_groups: int, df: int) -> float:
-    """Upper quantile q with P(Q < q) = level, by bisection on the CDF."""
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"level must be in (0, 1), got {level}")
-    lo, hi = 1e-6, 4.0
-    while studentized_range_cdf(hi, n_groups, df) < level:
+    """Upper quantile q with P(Q < q) = level, within 1e-12 relative.
+
+    The bracket doubles from [1e-6, 4] until the CDF reaches ``level``, and
+    Brent's method finds the root within it: 9 to 14 CDF evaluations at 64
+    groups and df 252 or 315, where bisection to 1e-9 took 33.
+    """
+    _check_range_shape(n_groups, df)
+    if not _is_real(level) or not 0.0 < level < 1.0:
+        raise ConfigError(f"studentized range level must be a number in (0, 1), got {level!r}")
+
+    def excess(q: float) -> float:
+        return studentized_range_cdf(q, n_groups, df) - level
+
+    lo, f_lo = 1e-6, None
+    hi, f_hi = 4.0, excess(4.0)
+    while f_hi < 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > 1e6:
             raise DataError("studentized-range quantile bracket failed to close")
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if studentized_range_cdf(mid, n_groups, df) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        f_hi = excess(hi)
+    if f_lo is None:
+        f_lo = excess(lo)
+    return _brent_root(excess, lo, f_lo, hi, f_hi, 1e-12)
 
 
 # --- discriminative power -----------------------------------------------------

@@ -6,9 +6,13 @@ by scanning every run on every lookup, and the average-precision references
 re-evaluate each prefix from scratch.
 
 ``RunsDocs`` is ``{system_id: {topic: [doc, ...]}}`` in evaluation order.
+
+The studentized-range references are the package's former scipy-based CDF and
+bisection quantile, kept unchanged with their own copy of the rule constants.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +82,59 @@ def naive_ap_rareness(runs_docs, system, topic, relevant, k, alpha, variant, n_r
                 runs_docs, system, topic, relevant, i, alpha, variant, depth
             )
     return total / n_relevant
+
+
+# Copenhaver & Holland (1988) on fixed Gauss-Legendre rules, with scipy.special.
+_SR_U_POINTS = 240
+_SR_S_POINTS = 128
+_SR_U_LO, _SR_U_HI = -9.0, 9.0
+_SR_W_MAX = 20.0
+_SR_S_TAIL = 1e-13
+
+
+@lru_cache(maxsize=None)
+def _scipy_quadrature_grids():
+    from scipy.special import ndtr
+
+    nodes, weights = np.polynomial.legendre.leggauss(_SR_U_POINTS)
+    u = 0.5 * (_SR_U_HI - _SR_U_LO) * nodes + 0.5 * (_SR_U_HI + _SR_U_LO)
+    u_w = 0.5 * (_SR_U_HI - _SR_U_LO) * weights
+    phi_u = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return u, u_w * phi_u, ndtr(u), np.polynomial.legendre.leggauss(_SR_S_POINTS)
+
+
+def scipy_studentized_range_cdf(q, n_groups, df):
+    if q <= 0.0:
+        return 0.0
+    from scipy.special import gammainc, gammaincinv, gammaln, ndtr
+
+    half = df / 2.0
+    lo = math.sqrt(gammaincinv(half, _SR_S_TAIL) / half)
+    hi = math.sqrt(gammaincinv(half, 1.0 - _SR_S_TAIL) / half)
+    top = min(max(_SR_W_MAX / q, lo), hi)
+    u, weighted_phi, ndtr_u, (nodes, weights) = _scipy_quadrature_grids()
+    s = 0.5 * (top - lo) * nodes + 0.5 * (top + lo)
+    ln_norm = (1.0 - half) * math.log(2.0) + half * math.log(df) - gammaln(half)
+    ln_pdf = ln_norm + (df - 1.0) * np.log(s) - half * s * s
+    s_w = 0.5 * (top - lo) * weights * np.exp(ln_pdf)
+    range_cdf = n_groups * ((ndtr_u - ndtr(u - q * s[:, None])) ** (n_groups - 1) @ weighted_phi)
+    value = s_w @ range_cdf + (1.0 - gammainc(half, half * top * top))
+    return min(1.0, max(0.0, float(value)))
+
+
+def bisection_studentized_range_quantile(level, n_groups, df):
+    lo, hi = 1e-6, 4.0
+    while scipy_studentized_range_cdf(hi, n_groups, df) < level:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ValueError("studentized-range quantile bracket failed to close")
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if scipy_studentized_range_cdf(mid, n_groups, df) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def naive_tau_b(x, y):

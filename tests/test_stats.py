@@ -34,6 +34,7 @@ from rareval.errors import ConfigError, DataError, UndefinedRarityError
 from rareval.rng import MAX_SEED, substream
 from rareval.stats import (
     _STREAM_STABILITY,
+    SIGNIFICANCE_LEVELS,
     _SubsetScorer,
     _tau_b,
     _trial_samples,
@@ -193,6 +194,79 @@ class TestStudentizedRange:
             studentized_range_cdf(2.0, 1, 10)
         with pytest.raises(ConfigError):
             studentized_range_cdf(2.0, 3, 0)
+
+    @pytest.mark.parametrize("function, args, name, bad", [
+        (studentized_range_cdf, (float("nan"), 3, 10), "q", float("nan")),
+        (studentized_range_cdf, ("2", 3, 10), "q", "2"),
+        (studentized_range_cdf, (2.0, 2.5, 10), "n_groups", 2.5),
+        (studentized_range_cdf, (2.0, True, 10), "n_groups", True),
+        (studentized_range_cdf, (2.0, 3, 10.5), "df", 10.5),
+        (studentized_range_cdf, (2.0, 3, True), "df", True),
+        (studentized_range_quantile, (0.95, 3, "10"), "df", "10"),
+        (studentized_range_quantile, (0.95, 3.0, 10), "n_groups", 3.0),
+        (studentized_range_quantile, (float("nan"), 3, 10), "level", float("nan")),
+        (studentized_range_quantile, (float("inf"), 3, 10), "level", float("inf")),
+        (studentized_range_quantile, ("0.95", 3, 10), "level", "0.95"),
+    ])
+    def test_unscorable_input_is_a_config_error_naming_it(self, function, args, name, bad):
+        with pytest.raises(ConfigError) as caught:
+            function(*args)
+        assert f"{name} " in str(caught.value) and repr(bad) in str(caught.value)
+
+    def test_infinite_q_is_certain(self):
+        assert studentized_range_cdf(float("inf"), 3, 10) == 1.0
+        assert studentized_range_cdf(-float("inf"), 3, 10) == 0.0
+
+
+# The grid over which the scipy-free studentized range is held to the former
+# scipy-based one (tests/oracles.py).
+ORACLE_GROUPS = (2, 3, 5, 10, 64, 300)
+ORACLE_DFS = (1, 2, 5, 20, 252, 315, 20000)
+ORACLE_QS = (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, 50.0)
+
+
+class TestStudentizedRangeAgainstScipyOracle:
+    @pytest.mark.parametrize("k", ORACLE_GROUPS)
+    def test_cdf_within_1e_12(self, k):
+        for df in ORACLE_DFS:
+            for q in ORACLE_QS:
+                assert studentized_range_cdf(q, k, df) == pytest.approx(
+                    oracles.scipy_studentized_range_cdf(q, k, df), rel=0, abs=1e-12
+                ), (q, k, df)
+
+    @pytest.mark.parametrize("k", ORACLE_GROUPS)
+    def test_quantile_brackets_the_oracle_root_within_1e_9(self, k):
+        # The oracle CDF crosses the level between q (1 - 1e-9) and q (1 + 1e-9):
+        # the root the bisection oracle converges to is within 1e-9 relative.
+        for level in SIGNIFICANCE_LEVELS:
+            for df in ORACLE_DFS:
+                q = studentized_range_quantile(level, k, df)
+                below = oracles.scipy_studentized_range_cdf(q * (1 - 1e-9), k, df)
+                above = oracles.scipy_studentized_range_cdf(q * (1 + 1e-9), k, df)
+                assert below < level <= above, (level, k, df)
+
+    @pytest.mark.parametrize("level", SIGNIFICANCE_LEVELS)
+    @pytest.mark.parametrize("df", [252, 315])
+    def test_quantile_equals_bisection_at_the_desk_shapes(self, level, df):
+        # 64 systems over 6 topics (df 315), or 5 for the AP family, which
+        # skips a topic without relevant documents (df 252): what discpower
+        # needs on the benchmark's desk campaign.
+        assert studentized_range_quantile(level, 64, df) == pytest.approx(
+            oracles.bisection_studentized_range_quantile(level, 64, df), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("level", SIGNIFICANCE_LEVELS)
+    @pytest.mark.parametrize("df", [252, 315])
+    def test_quantile_takes_at_most_16_cdf_evaluations(self, monkeypatch, level, df):
+        calls = []
+
+        def counting_cdf(*args):
+            calls.append(args)
+            return studentized_range_cdf(*args)
+
+        monkeypatch.setattr("rareval.stats.studentized_range_cdf", counting_cdf)
+        studentized_range_quantile.__wrapped__(level, 64, df)  # past the cache
+        assert 0 < len(calls) <= 16  # bisection to 1e-9 took 33
 
 
 def matrix_of(values, metric="P@5") -> ScoreMatrix:

@@ -16,17 +16,13 @@ Results go to stdout as TSV (floats shown with 4 decimals) or, with
 go to stderr; a warning is one ``warning:`` line (one ``error:`` line and exit
 1 under ``-W error``). Exit codes: 0 success, 1 data/format errors, 2 usage errors.
 Seeds default to a fixed constant so flag-free runs are reproducible.
-Three flags are accepted and change nothing, so older scripts keep working:
-``--threads`` (trials run serially; a non-integer ``RAREVAL_THREADS`` is still
-a usage error for ``stability`` and ``subset``), and ``trajectory``'s ``--pad``
-and ``--freeze-n-rel``.
+Trials run serially; ``RAREVAL_THREADS`` is not read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -73,17 +69,6 @@ def _emit(args, rows: list[dict]) -> None:
     else:
         for row in rows:
             print("\t".join(_fmt(v) for v in row.values()))
-
-
-def _check_threads_env(args) -> None:
-    """Reject a non-integer ``RAREVAL_THREADS`` unless ``--threads`` is given.
-    Neither changes anything: trials run serially."""
-    env = os.environ.get("RAREVAL_THREADS")
-    if args.threads is None and env:
-        try:
-            int(env)
-        except ValueError:
-            raise ConfigError(f"RAREVAL_THREADS must be an integer, got {env!r}")
 
 
 def _run_sources(paths: Sequence[str]):
@@ -277,7 +262,6 @@ def _cmd_stability(args) -> int:
     specs = (
         [_parse_metric(args, m) for m in args.metric] if args.metric else _table_metrics(args)
     )
-    _check_threads_env(args)
     matrices = evaluate_campaign(
         campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
     )
@@ -317,7 +301,6 @@ def _cmd_subset(args) -> int:
     spec = _parse_metric(
         args, args.metric[0] if args.metric else f"P@{args.cutoff}_rareness"
     )
-    _check_threads_env(args)
     rows: list[dict] = []
     for n in _sizes(args.sizes):
         result = subset_experiment(
@@ -445,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rarity-depth", type=int, default=None,
                         help="count retrievals only this deep (default: whole run)")
     common.add_argument("--json", action="store_true")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted; changes nothing (trials run serially)")
 
     # Each command gets only the flags below that it reads.
     alpha = argparse.ArgumentParser(add_help=False)
@@ -517,10 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic", required=True)
     p.add_argument("--alphas", default="0,0.5,1")
     p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--pad", choices=["none", "pool-nonrel"], default="pool-nonrel",
-                   help="accepted; changes nothing (padding is non-relevant)")
-    p.add_argument("--freeze-n-rel", action="store_true",
-                   help="accepted; changes nothing (P@k does not use the relevant count)")
     p.add_argument("--multi-topic", action="store_true")
     p.set_defaults(func=_cmd_trajectory)
 

@@ -25,10 +25,8 @@ bit for bit. Subset trials run one at a time. Nothing runs in threads.
 The HSD critical value comes from the studentized-range distribution: its
 CDF is the Copenhaver & Holland (1988) double integral, both integrals on
 fixed Gauss-Legendre rules in one numpy expression, and its quantile is the
-root of that CDF found by Brent's method (9 to 14 CDF evaluations at 64
-groups; within 4e-10 of the former bisection and 2e-7 of scipy's up to 300
-groups and df 1 to 20000). The test suite also checks it against published
-tables and holds it to the former scipy-based CDF within 1e-12.
+root of that CDF found by Brent's method. The test suite checks both
+against published tables and against a scipy-based reference.
 
 No command loads scipy. The normal CDF on the quadrature grid is Cephes'
 rational erf/erfc in numpy; lgamma, the regularized incomplete gamma (series
@@ -377,19 +375,21 @@ def _brent_root(f, a: float, f_a: float, b: float, f_b: float, rtol: float) -> f
         f_b = f(b)
 
 
-# Typed, so a cached 3 does not answer for a 3.0 the checks would reject.
-@lru_cache(maxsize=None, typed=True)
 def studentized_range_quantile(level: float, n_groups: int, df: int) -> float:
     """Upper quantile q with P(Q < q) = level, within 1e-12 relative.
 
     The bracket doubles from [1e-6, 4] until the CDF reaches ``level``, and
-    Brent's method finds the root within it: 9 to 14 CDF evaluations at 64
-    groups and df 252 or 315, where bisection to 1e-9 took 33.
+    Brent's method finds the root within it. The arguments are checked
+    before the cache, whose ``cache_info()`` this function carries.
     """
     _check_range_shape(n_groups, df)
     if not _is_real(level) or not 0.0 < level < 1.0:
         raise ConfigError(f"studentized range level must be a number in (0, 1), got {level!r}")
+    return _range_quantile(level, n_groups, df)
 
+
+@lru_cache(maxsize=None)
+def _range_quantile(level: float, n_groups: int, df: int) -> float:
     def excess(q: float) -> float:
         return studentized_range_cdf(q, n_groups, df) - level
 
@@ -404,6 +404,9 @@ def studentized_range_quantile(level: float, n_groups: int, df: int) -> float:
     if f_lo is None:
         f_lo = excess(lo)
     return _brent_root(excess, lo, f_lo, hi, f_hi, 1e-12)
+
+
+studentized_range_quantile.cache_info = _range_quantile.cache_info
 
 
 # --- discriminative power -----------------------------------------------------

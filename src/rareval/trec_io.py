@@ -12,27 +12,29 @@ A ``Run`` stores each topic's ranking as columns in canonical order
 doc-id), a read-only float64 score array and a read-only int64 rank-field
 array. ``RunColumns.docs`` and ``Run.rankings`` (``RunEntry`` tuples) are
 views built from the codes on each access. The runs of one
-``load_campaign`` share one vocabulary; a ``Run`` built from entries, as
-the line-by-line parser builds one, interns into a vocabulary of its own.
-``union_vocabulary`` maps any mix of them into one.
+``load_campaign`` share one vocabulary; a ``Run`` built from entries
+interns into a vocabulary of its own. ``union_vocabulary`` maps any mix of
+them into one.
 
 ``parse_run_file`` and ``load_campaign`` read each source whole and parse
-it in two phases. Phase one, per file (``_scan``): a per-line field count
-over the bytes, one ``bytes.split()``, Python's own ``int`` and ``float``
-mapped over the rank and score columns (ASCII bytes read as ``str`` does),
-and each doc-id numbered by a dict shared by all the campaign's files.
-Phase two, after the last file (``_assemble``): the doc-ids are sorted
-once, so a code's order is its doc-id's order, and decoded once; each file
-is put in canonical order by one ``argsort`` of a composite int64 key
-(topic, descending score or ascending rank field, descending code) whose
-first two parts are ranked jointly, so that it stays below lines x
-vocabulary size, at most 2**62 under ``_CODE_LIMIT``. The fast pass
-accepts only what it can prove the line-by-line parser reads the same way:
-ASCII text whose only whitespace is space, tab and ``\\n``, with six
-fields on every non-blank line, finite scores, one run tag and no repeated
-(topic, doc). Anything else (``\\r``, which reading as text turns into a
-line break; whitespace that ``str.split`` knows and ``bytes.split`` does
-not; NUL and the other control bytes; any non-ASCII byte; and every
+it in two phases. Phase one, per file: its kept lines as columns, each
+doc-id numbered by a dict shared by all the campaign's files and keyed by
+its UTF-8 bytes (``surrogatepass``, so every ``str`` round-trips and byte
+order is ``str`` order). The fast pass (``_scan``) reads them by a per-line
+field count over the bytes, one ``bytes.split()``, and Python's own ``int``
+and ``float`` mapped over the rank and score columns (ASCII bytes read as
+``str`` does). Phase two, after the last file (``_assemble``): the doc-ids
+are sorted once, so a code's order is its doc-id's order, and decoded
+once; each file is put in canonical order by one ``argsort`` of a
+composite int64 key (topic, descending score or ascending rank field,
+descending code) whose first two parts are ranked jointly, so that it stays
+below lines x vocabulary size, at most 2**62 under ``_CODE_LIMIT``. The
+fast pass accepts only what it can prove the line-by-line parser reads the
+same way: ASCII text whose only whitespace is space, tab and ``\\n``, with
+six fields on every non-blank line, finite scores, one run tag and no
+repeated (topic, doc). Anything else (``\\r``, which reading as text turns
+into a line break; whitespace that ``str.split`` knows and ``bytes.split``
+does not; NUL and the other control bytes; any non-ASCII byte; and every
 malformed file) goes to the line-by-line parser. It is the only source of
 parse errors, so their messages and line numbers do not depend on the fast
 pass.
@@ -350,13 +352,6 @@ def _check_utf8(raw: str, name: str, lineno: int) -> None:
         raise ParseError(f"not valid UTF-8 text: {raw.strip()!r}", source=name, line=lineno)
 
 
-def _canonical(entries: list[RunEntry], order: OrderPolicy) -> tuple[RunEntry, ...]:
-    if order == "score":
-        return tuple(sorted(entries, key=lambda e: (e.score, e.doc), reverse=True))
-    by_doc = sorted(entries, key=lambda e: e.doc, reverse=True)
-    return tuple(sorted(by_doc, key=lambda e: e.rank_field))
-
-
 # Token ids, and so codes, stay below this, as do a file's lines: the
 # composite sort key of ``_assemble`` is then below 2**62.
 _CODE_LIMIT = 2**31
@@ -370,7 +365,7 @@ class _Interner:
         self.token_ids: dict[bytes, int] = {}
         self.used = 0  # ids handed out: one per token read, so they may be sparse
 
-    def ids(self, tokens: list[bytes]) -> np.ndarray | None:
+    def ids(self, tokens: Sequence[bytes]) -> np.ndarray | None:
         """Each token's id, or None once the ids would reach ``_CODE_LIMIT``."""
         n, start = len(tokens), self.used
         if start + n > _CODE_LIMIT:
@@ -386,11 +381,11 @@ class _Interner:
         tokens = sorted(self.token_ids)
         code = np.zeros(self.used, np.int32)
         code[list(map(self.token_ids.__getitem__, tokens))] = np.arange(len(tokens))
-        return Vocabulary(b" ".join(tokens).decode("ascii").split()), code
+        return Vocabulary(b" ".join(tokens).decode("utf-8", "surrogatepass").split()), code
 
 
 class _Scan(NamedTuple):
-    """One run file read by the fast pass, its doc-ids not yet coded."""
+    """One run file's kept lines as columns, its doc-ids not yet coded."""
 
     tag: str
     topics: list[str]  # in order of first appearance
@@ -464,22 +459,15 @@ def _assemble(scan: _Scan, vocab: Vocabulary, code: np.ndarray, order: OrderPoli
     })
 
 
-def _parse_run_columns(data: bytes, order: OrderPolicy) -> Run | None:
-    """The run in ``data`` from the fast pass, against a vocabulary of its
-    own, or None when only the line-by-line parser can be trusted with it."""
-    interner = _Interner()
-    scan = _scan(data, interner)
-    return None if scan is None else _assemble(scan, *interner.vocabulary(), order)
-
-
 def _parse_run_lines(
-    lines: Iterable[str], name: str, dedup: DedupPolicy, order: OrderPolicy
-) -> Run:
+    lines: Iterable[str], name: str, dedup: DedupPolicy, interner: _Interner
+) -> _Scan:
     """The line-by-line parser: a located ParseError or FormatError for the
     first bad line."""
     tag: str | None = None
-    per_topic: dict[str, list[RunEntry]] = {}
+    topics: dict[str, int] = {}  # each topic's index, in order of first appearance
     seen: set[tuple[str, str]] = set()
+    kept: list[tuple[int, bytes, float, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.isascii():
             _check_utf8(raw, name, lineno)
@@ -522,17 +510,21 @@ def _parse_run_lines(
                 )
             continue
         seen.add(key)
-        per_topic.setdefault(topic, []).append(RunEntry(doc, score, rank_field))
+        index = topics.setdefault(topic, len(topics))
+        kept.append((index, doc.encode("utf-8", "surrogatepass"), score, rank_field))
     if tag is None:
         raise FormatError(f"{name}: empty run file")
-    return Run(tag, {t: _canonical(es, order) for t, es in per_topic.items()})
+    topic_of, docs, scores, rank_fields = zip(*kept)
+    ids = interner.ids(docs)
+    if ids is None:
+        raise DataError(f"{name}: more run lines than one load can number ({_CODE_LIMIT})")
+    return _Scan(tag, list(topics), np.array(topic_of, np.int64), ids,
+                 np.array(scores, np.float64), np.array(rank_fields, np.int64))
 
 
-def _read_run(
-    source, interner: _Interner, dedup: DedupPolicy, order: OrderPolicy
-) -> Run | _Scan:
-    """One run file, scanned into ``interner`` by the fast pass, or else
-    parsed whole by the line-by-line parser."""
+def _read_run(source, interner: _Interner, dedup: DedupPolicy) -> _Scan:
+    """One run file, scanned into ``interner`` by the fast pass, or else by
+    the line-by-line parser."""
     content = _read(source)
     if isinstance(content, bytes):
         scan = _scan(content, interner)
@@ -540,24 +532,22 @@ def _read_run(
         text = "".join(content)
         scan = _scan(text.encode("ascii"), interner) if text.isascii() else None
     if scan is None:
-        return _parse_run_lines(_text_lines(content), _source_name(source), dedup, order)
+        return _parse_run_lines(_text_lines(content), _source_name(source), dedup, interner)
     return scan
 
 
 def _parse_runs(sources: Sequence, dedup: DedupPolicy, order: OrderPolicy) -> list[Run]:
-    """The runs of ``sources``. Those the fast pass reads share one
-    vocabulary, sorted once after the last file; those the line-by-line
-    parser reads each have their own."""
+    """The runs of ``sources``, all over one vocabulary, sorted once after
+    the last file."""
     if dedup not in ("reject", "first"):
         raise ConfigError(f"unknown dedup policy {dedup!r} (expected 'reject' or 'first')")
     if order not in ("score", "rank-field"):
         raise ConfigError(f"unknown ordering policy {order!r} (expected 'score' or 'rank-field')")
     interner = _Interner()
-    runs = [_read_run(source, interner, dedup, order) for source in sources]
+    runs = [_read_run(source, interner, dedup) for source in sources]
     vocab, code = interner.vocabulary()
-    for i, run in enumerate(runs):  # each scan is dropped once assembled
-        if not isinstance(run, Run):
-            runs[i] = _assemble(run, vocab, code, order)
+    for i, scan in enumerate(runs):  # each scan is dropped once assembled
+        runs[i] = _assemble(scan, vocab, code, order)
     return runs
 
 
@@ -622,8 +612,8 @@ def load_campaign(
     order: OrderPolicy = "score",
     relevance_threshold: int = 1,
 ) -> Campaign:
-    """Parse a full run set plus qrels into a Campaign; the runs the fast
-    pass reads share one vocabulary."""
+    """Parse a full run set plus qrels into a Campaign; its runs share one
+    vocabulary."""
     if not run_sources:
         raise DataError("no run sources given")
     runs = _parse_runs(run_sources, dedup, order)

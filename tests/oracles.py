@@ -5,7 +5,8 @@ package, and favors obviousness over speed: retrieval counts are recomputed
 by scanning every run on every lookup, and the average-precision references
 re-evaluate each prefix from scratch.
 
-``RunsDocs`` is ``{system_id: {topic: [doc, ...]}}`` in evaluation order.
+``RunsDocs`` is ``{system_id: {topic: [doc, ...]}}`` in evaluation order;
+``canonical_order`` is that order, by sorting, over plain tuples.
 
 The studentized-range references are the package's former scipy-based CDF and
 bisection quantile, kept unchanged with their own copy of the rule constants.
@@ -192,6 +193,16 @@ def naive_stability(values, sample_size, trials, seed, direction="winner"):
                 score = (trials - w) / trials
             per_pair[(i, j)] = float(score)
     return per_pair, float(np.mean(list(per_pair.values())))
+
+
+def canonical_order(entries, order):
+    """``(doc, score, rank_field)`` tuples in canonical evaluation order: by
+    descending score (``order="score"``) or ascending rank field
+    (``"rank-field"``), ties broken by descending doc-id in ``str`` order."""
+    if order == "score":
+        return sorted(entries, key=lambda e: (e[1], e[0]), reverse=True)
+    by_doc = sorted(entries, key=lambda e: e[0], reverse=True)
+    return sorted(by_doc, key=lambda e: e[2])
 
 
 def campaign_to_plain(campaign):

@@ -308,16 +308,6 @@ class TestSynthCommand:
 
 
 class TestStabilityCommand:
-    def test_thread_counts_do_not_change_output(self, toy_files, capsys):
-        runs, qrels = toy_files
-        base = ["stability", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
-                "--metric", "P@3_rareness(alpha=1)", "--trials", "50",
-                "--sample-size", "1", "--per-pair"]
-        _, one, _ = run_cli(base + ["--threads", "1"], capsys)
-        _, four, _ = run_cli(base + ["--threads", "4"], capsys)
-        assert one == four
-        assert one.startswith("P@3_rareness(alpha=1,rarity=eq2)\toverall\t")
-
     def test_env_threads_override(self, toy_files, capsys, monkeypatch):
         runs, qrels = toy_files
         monkeypatch.setenv("RAREVAL_THREADS", "2")
@@ -417,33 +407,20 @@ class TestSeedRange:
 
 
 class TestThreadsEnvironment:
-    """RAREVAL_THREADS changes nothing, but a non-integer value is a usage
-    error unless --threads is given."""
+    """RAREVAL_THREADS is not read: no value of it changes an output."""
 
-    def _argv(self, command, toy_files):
+    @pytest.mark.parametrize("value", ["x", "2"])
+    @pytest.mark.parametrize("command", ["stability", "subset"])
+    def test_the_variable_changes_nothing(self, toy_files, capsys, monkeypatch, command, value):
         runs, qrels = toy_files
         extra = ["--sizes", "2"] if command == "subset" else ["--sample-size", "1"]
-        return [command, "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
+        argv = [command, "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
                 "--metric", "P@3", "--trials", "5", *extra]
-
-    @pytest.mark.parametrize("command", ["stability", "subset"])
-    def test_non_integer_exits_2_naming_the_variable(
-        self, toy_files, capsys, monkeypatch, command
-    ):
-        monkeypatch.setenv("RAREVAL_THREADS", "x")
-        code, out, err = run_cli(self._argv(command, toy_files), capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: RAREVAL_THREADS must be an integer, got 'x'\n"
-
-    @pytest.mark.parametrize("command", ["stability", "subset"])
-    def test_the_flag_wins_over_the_variable(self, toy_files, capsys, monkeypatch, command):
         monkeypatch.delenv("RAREVAL_THREADS", raising=False)
-        _, expected, _ = run_cli(self._argv(command, toy_files), capsys)
-        monkeypatch.setenv("RAREVAL_THREADS", "x")
-        code, out, _ = run_cli(self._argv(command, toy_files) + ["--threads", "2"], capsys)
-        assert code == 0
-        assert out == expected
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0 and expected[1]
+        monkeypatch.setenv("RAREVAL_THREADS", value)
+        assert run_cli(argv, capsys) == expected
 
 
 class TestSubsetCommand:
@@ -471,19 +448,6 @@ class TestSubsetCommand:
         assert lines[0].startswith("2\t")
         assert lines[1] == "4\t1.0000\t30"
 
-    def test_threads_change_nothing(self, toy_files, capsys, monkeypatch):
-        runs, qrels = toy_files
-        argv = ["subset", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
-                "--sizes", "2,3", "--trials", "30"]
-        monkeypatch.delenv("RAREVAL_THREADS", raising=False)
-        _, expected, _ = run_cli(argv, capsys)
-        _, flagged, _ = run_cli(argv + ["--threads", "3"], capsys)
-        monkeypatch.setenv("RAREVAL_THREADS", "2")
-        _, from_env, _ = run_cli(argv, capsys)
-        assert expected.startswith("2\t")
-        assert flagged == expected
-        assert from_env == expected
-
 
 class TestFlagsEachCommandReads:
     """A command takes only the flags it reads: a flag no code path of it reads
@@ -500,6 +464,13 @@ class TestFlagsEachCommandReads:
             ("trajectory", "--ap-depth", "full"),
             ("report", "--ap-depth", "full"),
             ("report", "--alpha", "0.5"),
+            # Would change nothing: trials run serially, and probes pad one way.
+            *[(command, "--threads", "1") for command in (
+                "eval", "compare", "discpower", "stability", "subset", "trajectory", "report"
+            )],
+            ("trajectory", "--pad", "none"),
+            ("trajectory", "--pad", "pool-nonrel"),
+            ("trajectory", "--freeze-n-rel", None),
         ],
     )
     def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag, value):
@@ -514,7 +485,7 @@ class TestFlagsEachCommandReads:
                 "--qrels", paths[-1], "--cutoff", "10"]
         if command == "trajectory":
             argv += ["--kind", "rare", "--topic", "t000", "--d-max", "3"]
-        code, out, err = run_cli([*argv, flag, value], capsys)
+        code, out, err = run_cli([*argv, flag, *([] if value is None else [value])], capsys)
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err and flag in err
@@ -523,7 +494,7 @@ class TestFlagsEachCommandReads:
         "command, flag, value",
         [
             ("eval", "--metr", "P@5"),  # --metric
-            ("stability", "--thr", "2"),  # --threads
+            ("stability", "--tri", "2"),  # --trials
             ("stability", "--sample", "3"),  # --sample-size
             ("compare", "--alpha", "1"),  # --alphas
             ("trajectory", "--alpha", "1"),  # --alphas
@@ -600,33 +571,6 @@ class TestTrajectoryCommand:
         code, json_out, _ = run_cli(argv + ["--json"], capsys)
         payload = json.loads(json_out)
         assert set(payload["d_star"]) == {"0.0", "1.0"}
-
-    @pytest.mark.parametrize(
-        "flags", [["--pad", "none"], ["--pad", "pool-nonrel"], ["--freeze-n-rel"]]
-    )
-    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["tsv", "json"])
-    @pytest.mark.parametrize("kind", ["rare", "common"])
-    def test_pad_and_freeze_n_rel_change_nothing(self, toy_files, capsys, kind, output, flags):
-        runs, qrels = toy_files
-        argv = ["trajectory", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
-                "--kind", kind, "--topic", "t1", "--alphas", "0,0.5,1", "--d-max", "3",
-                *output]
-        code, expected, _ = run_cli(argv, capsys)
-        assert code == 0 and expected
-        code, out, _ = run_cli(argv + flags, capsys)
-        assert code == 0
-        assert out == expected
-
-    def test_unknown_pad_exits_2(self, toy_files, capsys):
-        runs, qrels = toy_files
-        code, out, err = run_cli(
-            ["trajectory", "--runs", *runs, "--qrels", qrels, "--kind", "rare",
-             "--topic", "t1", "--d-max", "3", "--pad", "bogus"],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert "--pad" in err and "'bogus'" in err
 
 
 class TestDiscpowerCommand:

@@ -207,6 +207,11 @@ class TestStudentizedRange:
         (studentized_range_quantile, (float("nan"), 3, 10), "level", float("nan")),
         (studentized_range_quantile, (float("inf"), 3, 10), "level", float("inf")),
         (studentized_range_quantile, ("0.95", 3, 10), "level", "0.95"),
+        # Unhashable: checked before the cache looks them up.
+        (studentized_range_quantile, (0.95, 3, [10]), "df", [10]),
+        (studentized_range_quantile, (0.95, {3: 1}, 10), "n_groups", {3: 1}),
+        (studentized_range_quantile, (0.95, 3, np.array([10])), "df", np.array([10])),
+        (studentized_range_quantile, ([0.95], 3, 10), "level", [0.95]),
     ])
     def test_unscorable_input_is_a_config_error_naming_it(self, function, args, name, bad):
         with pytest.raises(ConfigError) as caught:
@@ -265,7 +270,7 @@ class TestStudentizedRangeAgainstScipyOracle:
             return studentized_range_cdf(*args)
 
         monkeypatch.setattr("rareval.stats.studentized_range_cdf", counting_cdf)
-        studentized_range_quantile.__wrapped__(level, 64, df)  # past the cache
+        rareval.stats._range_quantile.__wrapped__(level, 64, df)  # past the cache
         assert 0 < len(calls) <= 16  # bisection to 1e-9 took 33
 
 

@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from rareval import (
     Campaign,
@@ -23,9 +25,10 @@ from rareval import (
 from rareval.errors import ConfigError, RarevalError
 from rareval.trec_io import (
     _CODE_LIMIT,
+    _assemble,
     _Interner,
-    _parse_run_columns,
     _parse_run_lines,
+    _read_run,
     _scan,
 )
 
@@ -36,6 +39,30 @@ def run_of(text, **kw):
 
 def qrels_of(text, **kw):
     return parse_qrels(io.StringIO(text), **kw)
+
+
+def fast_pass(data, order):
+    """The run the fast pass reads from ``data`` alone, or None where it declines."""
+    interner = _Interner()
+    scan = _scan(data, interner)
+    return None if scan is None else _assemble(scan, *interner.vocabulary(), order)
+
+
+def line_parsed(lines, dedup, order):
+    """The run the line-by-line parser reads from ``lines``, each topic's
+    entries put in the oracle's canonical order; a located error for a bad file."""
+    interner = _Interner()
+    scan = _parse_run_lines(lines, "<stream>", dedup, interner)
+    doc_of = {i: token.decode("utf-8", "surrogatepass") for token, i in interner.token_ids.items()}
+    per_topic = {topic: [] for topic in scan.topics}
+    for topic, i, score, rank_field in zip(
+        scan.topic.tolist(), scan.ids.tolist(), scan.scores.tolist(), scan.rank_fields.tolist()
+    ):
+        per_topic[scan.topics[topic]].append((doc_of[i], score, rank_field))
+    return Run(scan.tag, {
+        topic: [RunEntry(*e) for e in oracles.canonical_order(entries, order)]
+        for topic, entries in per_topic.items()
+    })
 
 
 class TestParseRun:
@@ -386,36 +413,42 @@ class TestFastPassAgreesWithTheLineParser:
         order=st.sampled_from(["score", "rank-field"]),
         via=st.sampled_from(["bytes", "text"]),
     )
+    @example(b"t1 Q0 d2 1 1.0 A\r\nt1 Q0 d1 2 1.0 A\r\n", "reject", "score", "bytes")
+    @example(b"t1 Q0 d1 1 2.0 A\nt1 Q0 d2 2 1.0 A\nt1 Q0 d1 3 3.0 A\n", "first", "score", "bytes")
+    @example(b"t1 Q0 d\xc3\xa9 1 1.0 A\nt1 Q0 d\xf0\x90\x80\x80 2 1.0 A\nt1 Q0 e 3 1.0 A\n",
+             "reject", "rank-field", "bytes")
+    # A text stream can hold a lone surrogate, which UTF-8 bytes cannot.
+    @example("t1 Q0 d\ud800x 1 1.0 A\nt1 Q0 d\uffffx 2 1.0 A\n", "reject", "score", "text")
     def test_same_run_or_same_error(self, data, dedup, order, via):
         if via == "bytes":  # a path or a byte-backed stream such as sys.stdin
             def source():
                 return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
             lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
         else:
-            text = data.decode("utf-8", errors="surrogateescape")
+            text = data if isinstance(data, str) else data.decode("utf-8", errors="surrogateescape")
 
             def source():
                 return io.StringIO(text)
             lines = io.StringIO(text)
+        fast = fast_pass(data, order) if isinstance(data, bytes) else None
         try:
-            expected = _parse_run_lines(lines, "<stream>", dedup, order)
+            expected = line_parsed(lines, dedup, order)
         except RarevalError as exc:
             with pytest.raises(type(exc)) as raised:
                 parse_run_file(source(), dedup=dedup, order=order)
             assert str(raised.value) == str(exc)
-            assert _parse_run_columns(data, order) is None
+            assert fast is None
             return
         run = parse_run_file(source(), dedup=dedup, order=order)
         assert run == expected
         assert list(run.columns) == list(expected.columns)
-        fast = _parse_run_columns(data, order)
         if fast is not None:
             assert fast == expected
             assert list(fast.columns) == list(expected.columns)
 
     def test_the_fast_pass_takes_clean_files_and_odd_numbers(self):
         data = b"t2 Q0 d1 1_0 1_0.5 A\n\n t1\tQ0 d2 +3 1e5 A \nt1 Q0 d1 007 .5 A"
-        fast = _parse_run_columns(data, "rank-field")
+        fast = fast_pass(data, "rank-field")
         assert fast is not None
         assert fast.rankings == {
             "t2": (RunEntry("d1", 10.5, 10),),
@@ -436,7 +469,7 @@ class TestFastPassAgreesWithTheLineParser:
         ids=["five-and-seven", "crlf", "non-ascii", "0x1c", "duplicate", "mixed-tags", "nan"],
     )
     def test_the_fast_pass_declines_what_it_cannot_prove(self, data):
-        assert _parse_run_columns(data, "score") is None
+        assert fast_pass(data, "score") is None
 
 
 def _retagged(data, i, disjoint):
@@ -454,6 +487,11 @@ class TestLoadCampaignSharesOneVocabulary:
         dedup=st.sampled_from(["reject", "first"]),
         order=st.sampled_from(["score", "rank-field"]),
     )
+    @example(  # a fast-pass file, a CRLF file, and a non-ASCII doc-id with a repeat
+        [b"t1 Q0 d1 1 2.0 A\n", b"t1 Q0 d1 1 2.0 A\r\nt1 Q0 d2 2 1.0 A\r\n",
+         b"t1 Q0 d\xc3\xa9 1 1.0 A\nt1 Q0 d1 2 1.0 A\nt1 Q0 d1 3 3.0 A\n"],
+        False, "first", "score",
+    )
     def test_same_runs_as_the_line_parser_file_by_file(self, files, disjoint, dedup, order):
         files = [_retagged(data, i, disjoint) for i, data in enumerate(files)]
 
@@ -462,9 +500,9 @@ class TestLoadCampaignSharesOneVocabulary:
 
         try:
             expected = [
-                _parse_run_lines(
+                line_parsed(
                     io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"),
-                    "<stream>", dedup, order,
+                    dedup, order,
                 )
                 for data in files
             ]
@@ -482,11 +520,8 @@ class TestLoadCampaignSharesOneVocabulary:
                 assert got.docs == columns.docs
                 assert got.scores.tobytes() == columns.scores.tobytes()
                 assert got.rank_fields.tolist() == columns.rank_fields.tolist()
-        fast = [
-            run for run, data in zip(campaign.runs, files)
-            if _parse_run_columns(data, order) is not None
-        ]
-        assert len({id(c.vocab) for run in fast for c in run.columns.values()}) <= 1
+        # Fast-pass and line-parsed files alike: one vocabulary for the load.
+        assert len({id(c.vocab) for run in campaign.runs for c in run.columns.values()}) == 1
 
 
 class TestCompositeSortKey:
@@ -506,3 +541,11 @@ class TestCompositeSortKey:
         assert interner.ids([b"d1", b"d2"]) is None
         assert interner.ids([b"d1"]).tolist() == [_CODE_LIMIT - 1]
         assert _scan(b"t1 Q0 d1 1 1.0 A\n", interner) is None
+
+    def test_a_line_parsed_file_past_the_limit_is_a_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "crlf.run"
+        path.write_bytes(b"t1 Q0 d1 1 1.0 A\r\nt1 Q0 d2 2 0.5 A\r\n")
+        interner = _Interner()
+        interner.used = _CODE_LIMIT - 1
+        with pytest.raises(DataError, match=re.escape(f"{path}: more run lines")):
+            _read_run(path, interner, "reject")

@@ -16,13 +16,18 @@ Results go to stdout as TSV (floats shown with 4 decimals) or, with
 go to stderr; a warning is one ``warning:`` line (one ``error:`` line and exit
 1 under ``-W error``). Exit codes: 0 success, 1 data/format errors, 2 usage errors.
 Seeds default to a fixed constant so flag-free runs are reproducible.
-Trials run serially; ``RAREVAL_THREADS`` is not read.
+Trials run serially; ``RAREVAL_THREADS`` is not read. Commands that read a
+campaign keep its parsed run files in ``$XDG_CACHE_HOME/rareval`` (by default
+``~/.cache/rareval``), so that the next command over the same files reads
+them back instead of parsing them again; runs from standard input are not
+cached.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -92,6 +97,13 @@ def _run_sources(paths: Sequence[str]):
     return sources, stdin_used
 
 
+def _cache_dir() -> Path:
+    """The load cache: ``$XDG_CACHE_HOME/rareval``, where that is an absolute
+    path, else ``~/.cache/rareval``."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "rareval"
+
+
 def _load(args):
     run_sources, stdin_used = _run_sources(args.runs)
     if args.qrels == "-":
@@ -106,6 +118,7 @@ def _load(args):
         dedup=args.dedup,
         order=args.order,
         relevance_threshold=args.relevance_threshold,
+        cache=_cache_dir(),
     )
     unjudged = campaign.unjudged_topics
     if unjudged:

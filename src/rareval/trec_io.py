@@ -38,13 +38,28 @@ does not; NUL and the other control bytes; any non-ASCII byte; and every
 malformed file) goes to the line-by-line parser. It is the only source of
 parse errors, so their messages and line numbers do not depend on the fast
 pass.
+
+``load_campaign(..., cache=DIR)`` keeps each load's parsed runs in ``DIR``
+as one ``.npz`` entry, named by a sha256 over this module's source, the
+dedup and order policies and each run file's content, in order. An entry
+holds the concatenated codes, scores and rank fields, each (run, topic)'s
+length, and the run tags, topics and doc-ids as joined UTF-8. A hit
+rebuilds the runs from the entry without scanning or interning any text; a
+miss parses as above and then writes the entry. A stream among the
+sources, an entry that fails a check (zip CRC, dtypes, sizes, codes) and
+any ``OSError`` of the cache's own all fall back to the parse; a parse
+error, or a system id in two files, writes nothing. The entries are kept
+under ``_CACHE_BUDGET`` bytes, the least recently used deleted first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import itertools
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
@@ -536,19 +551,166 @@ def _read_run(source, interner: _Interner, dedup: DedupPolicy) -> _Scan:
     return scan
 
 
-def _parse_runs(sources: Sequence, dedup: DedupPolicy, order: OrderPolicy) -> list[Run]:
+def _parse_runs(
+    sources: Sequence, dedup: DedupPolicy, order: OrderPolicy, cache=None
+) -> list[Run]:
     """The runs of ``sources``, all over one vocabulary, sorted once after
-    the last file."""
+    the last file, with distinct system ids; read back from ``cache`` when
+    it holds them, and written to it only once they pass every check."""
     if dedup not in ("reject", "first"):
         raise ConfigError(f"unknown dedup policy {dedup!r} (expected 'reject' or 'first')")
     if order not in ("score", "rank-field"):
         raise ConfigError(f"unknown ordering policy {order!r} (expected 'score' or 'rank-field')")
+    entry = None if cache is None else _cache_entry(cache, sources, dedup, order)
+    if entry is not None and (runs := _cache_read(entry, len(sources))) is not None:
+        return runs
     interner = _Interner()
     runs = [_read_run(source, interner, dedup) for source in sources]
     vocab, code = interner.vocabulary()
     for i, scan in enumerate(runs):  # each scan is dropped once assembled
         runs[i] = _assemble(scan, vocab, code, order)
+    where: dict[str, str] = {}
+    for run, source in zip(runs, sources):
+        if run.system_id in where:
+            raise FormatError(
+                f"duplicate system id {run.system_id!r} in {where[run.system_id]} "
+                f"and {_source_name(source)}"
+            )
+        where[run.system_id] = _source_name(source)
+    if entry is not None:
+        _cache_write(entry, runs, vocab)
     return runs
+
+
+_CACHE_BUDGET = 2**30  # bytes of files a cache directory keeps
+_ENTRY = {  # an entry's arrays and their dtypes
+    "codes": np.int32,
+    "scores": np.float64,
+    "rank_fields": np.int64,
+    "lengths": np.int64,  # per (run, topic): runs in load order, topics in file order
+    "topic_counts": np.int64,  # per run
+    "tags": np.uint8,  # the strings "\n"-joined, as UTF-8 with surrogatepass
+    "topics": np.uint8,
+    "vocab": np.uint8,
+}
+
+
+def _cache_entry(cache, sources: Sequence, dedup: DedupPolicy, order: OrderPolicy) -> str | None:
+    """The path of this load's entry in ``cache``, or None when a source is a
+    stream or a file cannot be read (the parse then reports it)."""
+    if any(hasattr(source, "read") for source in sources):
+        return None
+    import hashlib  # here, so that only a cached load imports it
+
+    def digest(path) -> bytes:  # each file is read, hashed and dropped
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).digest()
+
+    try:
+        parts = [digest(__file__), f"{dedup}\n{order}\n".encode(), *map(digest, sources)]
+    except OSError:
+        return None
+    return os.path.join(cache, hashlib.sha256(b"".join(parts)).hexdigest() + ".npz")
+
+
+def _joined(strings: Iterable[str]) -> np.ndarray:
+    return np.frombuffer("\n".join(strings).encode("utf-8", "surrogatepass"), np.uint8)
+
+
+def _split(joined: np.ndarray) -> list[str]:
+    return joined.tobytes().decode("utf-8", "surrogatepass").split("\n")
+
+
+def _cache_read(entry: str, n_runs: int) -> list[Run] | None:
+    """The ``n_runs`` runs stored in ``entry``, or None unless it reads back
+    whole and passes every check."""
+    try:
+        with np.load(entry, allow_pickle=False) as stored:  # reading a member checks its CRC
+            arrays = {name: stored[name] for name in _ENTRY}
+        if any(arrays[name].dtype != dtype or arrays[name].ndim != 1
+               for name, dtype in _ENTRY.items()):
+            return None
+        codes, lengths, counts = arrays["codes"], arrays["lengths"], arrays["topic_counts"]
+        tags, topics, ids = map(_split, (arrays["tags"], arrays["topics"], arrays["vocab"]))
+        if not (
+            len(tags) == counts.size == n_runs and counts.min() >= 1
+            and len(topics) == lengths.size == counts.sum() and lengths.min() >= 1
+            and codes.size == arrays["scores"].size == arrays["rank_fields"].size
+            == lengths.sum()
+            and codes.min() >= 0 and codes.max() < len(ids)
+        ):
+            return None
+    except Exception:  # an entry is outside input: whatever reading it raises, the
+        return None  # parse is the recovery (a sound entry that missed fails the tests)
+    scores, rank_fields, vocab = arrays["scores"], arrays["rank_fields"], Vocabulary(ids)
+    bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    spans = iter(zip(topics, bounds, bounds[1:]))
+    runs = []
+    for tag, count in zip(tags, counts.tolist()):
+        columns = {
+            topic: RunColumns(codes[a:b], scores[a:b], rank_fields[a:b], vocab)
+            for topic, a, b in itertools.islice(spans, count)
+        }
+        if len(columns) != count:
+            return None  # a topic twice in one run
+        runs.append(Run.of_columns(tag, columns))
+    with contextlib.suppress(OSError):
+        os.utime(entry)  # trimming deletes the least recently used first
+    return runs
+
+
+def _cache_write(entry: str, runs: list[Run], vocab: Vocabulary) -> None:
+    """Store ``runs`` as ``entry`` through a temporary file, then trim the
+    directory to the budget; an ``OSError`` leaves the load uncached.
+
+    Each array is written as the ``.npy`` member ``np.savez`` would write,
+    but column by column, so that no column is concatenated in memory.
+    """
+    columns = [c for run in runs for c in run.columns.values()]
+    parts = {name: [getattr(c, name) for c in columns]
+             for name in ("codes", "scores", "rank_fields")}
+    parts["lengths"] = [np.array([c.codes.size for c in columns])]
+    parts["topic_counts"] = [np.array([len(run.columns) for run in runs])]
+    parts["tags"] = [_joined(run.system_id for run in runs)]
+    parts["topics"] = [_joined(topic for run in runs for topic in run.columns)]
+    parts["vocab"] = [_joined(vocab.ids)]
+    directory = os.path.dirname(entry)
+    temporary = f"{entry[:-len('.npz')]}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(temporary, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+            for name, arrays in parts.items():
+                dtype = np.dtype(_ENTRY[name])
+                header = {"descr": dtype.str, "fortran_order": False,
+                          "shape": (sum(array.size for array in arrays),)}
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(member, header)
+                    for array in arrays:
+                        member.write(np.asarray(array, dtype).tobytes())
+        os.replace(temporary, entry)
+        _trim(directory, _CACHE_BUDGET)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+
+
+def _trim(directory: str, budget: int) -> None:
+    """Delete the directory's entries and temporary files, oldest mtime
+    first, until they fit in ``budget`` bytes."""
+    with os.scandir(directory) as found:
+        files = sorted(
+            (stat.st_mtime, stat.st_size, item.path)
+            for item in found
+            if item.name.endswith((".npz", ".tmp")) and item.is_file()
+            for stat in [item.stat()]
+        )
+    total = sum(size for _, size, _ in files)
+    for _, size, path in files:
+        if total <= budget:
+            break
+        with contextlib.suppress(FileNotFoundError):  # another load deleted it first
+            os.remove(path)
+        total -= size
 
 
 def parse_run_file(
@@ -611,20 +773,18 @@ def load_campaign(
     dedup: DedupPolicy = "reject",
     order: OrderPolicy = "score",
     relevance_threshold: int = 1,
+    cache=None,
 ) -> Campaign:
     """Parse a full run set plus qrels into a Campaign; its runs share one
-    vocabulary."""
+    vocabulary.
+
+    ``cache``, a directory, keeps the parsed runs for the next load of the
+    same files (see the module docstring); None, the default, reads and
+    writes nothing but the sources.
+    """
     if not run_sources:
         raise DataError("no run sources given")
-    runs = _parse_runs(run_sources, dedup, order)
-    where: dict[str, str] = {}
-    for run, src in zip(runs, run_sources):
-        if run.system_id in where:
-            raise FormatError(
-                f"duplicate system id {run.system_id!r} in {where[run.system_id]} "
-                f"and {_source_name(src)}"
-            )
-        where[run.system_id] = _source_name(src)
+    runs = _parse_runs(run_sources, dedup, order, cache)
     qrels = parse_qrels(qrels_source, relevance_threshold)
     return Campaign(runs, qrels)
 

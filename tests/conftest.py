@@ -19,6 +19,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"{name}: {outcome}")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_home(tmp_path_factory):
+    """Point ``XDG_CACHE_HOME`` at a directory of this test session, so that
+    the CLI's load cache, in process and in subprocesses, writes nowhere
+    else. Session scope keeps Hypothesis's health check for function-scoped
+    fixtures quiet."""
+    with pytest.MonkeyPatch.context() as patch:
+        home = tmp_path_factory.mktemp("cache-home")
+        patch.setenv("XDG_CACHE_HOME", str(home))
+        yield home
+
+
 def make_run(system_id: str, per_topic: dict[str, list[str]]) -> Run:
     """Build a Run whose given doc order is canonical (strictly falling scores)."""
     rankings = {

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rareval.stats
+import rareval.trec_io
 from rareval import (
     MetricSpec,
     StabilityConfig,
@@ -307,19 +308,6 @@ class TestSynthCommand:
             assert loaded == generated
 
 
-class TestStabilityCommand:
-    def test_env_threads_override(self, toy_files, capsys, monkeypatch):
-        runs, qrels = toy_files
-        monkeypatch.setenv("RAREVAL_THREADS", "2")
-        code, out, _ = run_cli(
-            ["stability", "--runs", *runs, "--qrels", qrels, "--cutoff", "3",
-             "--metric", "P@3", "--trials", "20", "--sample-size", "1"],
-            capsys,
-        )
-        assert code == 0
-        assert out.startswith("P@3\toverall\t")
-
-
 class TestStabilityDrawsAreShared:
     def test_six_table_metrics_build_one_generator_per_trial_and_topic_count(
         self, tmp_path, capsys, monkeypatch
@@ -554,6 +542,79 @@ class TestInputOrderInvariance:
                 printed.append(out)
             outputs.add(tuple(printed))
         assert len(outputs) == 1
+
+
+class TestLoadCache:
+    """Commands that read a campaign keep its parsed runs under
+    ``$XDG_CACHE_HOME/rareval``; a warm run reads them back and prints the
+    bytes a cold run prints."""
+
+    SYNTH = ["synth", "--systems", "6", "--topics", "3", "--relevant", "8",
+             "--pool", "60", "--depth", "12", "--seed", "3"]
+    COMMANDS = {
+        "eval": ["--metric", "P@10_rareness", "--metric", "AP", "--per-topic"],
+        "compare": [],
+        "discpower": [],
+        "stability": ["--trials", "20"],
+        "subset": ["--sizes", "2,4", "--trials", "10"],
+        "trajectory": ["--kind", "rare", "--topic", "t000", "--d-max", "3"],
+        "report": ["--topic", "t000"],
+        "synth": [],
+    }
+
+    @pytest.fixture
+    def setup(self, tmp_path, capsys, monkeypatch):
+        """The synth campaign's inputs, and the cache directory, still absent."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
+        code, out, _ = run_cli([*self.SYNTH, "--out", str(tmp_path / "c")], capsys)
+        assert code == 0
+        paths = out.split()
+        inputs = ["--runs", *paths[:-1], "--qrels", paths[-1], "--cutoff", "10"]
+        return inputs, tmp_path / "cache-home" / "rareval"
+
+    @pytest.mark.parametrize("command, output", [  # synth has no --json
+        (command, output) for command in COMMANDS for output in ("tsv", "json")
+        if (command, output) != ("synth", "json")
+    ])
+    def test_a_warm_run_prints_the_cold_run_bytes(
+        self, setup, tmp_path, capsys, monkeypatch, command, output
+    ):
+        inputs, cache = setup
+        if command == "synth":
+            argv = [*self.SYNTH, "--out", str(tmp_path / "again")]
+        else:
+            argv = [command, *self.COMMANDS[command], *inputs]
+        argv += ["--json"] if output == "json" else []
+        cold = run_cli(argv, capsys)
+        assert cold[0] == 0 and cold[1]
+        entries = sorted(cache.glob("*.npz")) if cache.exists() else []
+        assert len(entries) == (0 if command == "synth" else 1)
+
+        def refuse(*args):
+            raise AssertionError("a warm run parsed a run file")
+
+        monkeypatch.setattr(rareval.trec_io, "_read_run", refuse)
+        assert run_cli(argv, capsys) == cold
+        assert (sorted(cache.glob("*.npz")) if cache.exists() else []) == entries
+
+    def test_runs_from_standard_input_write_no_entry(self, setup, capsys, monkeypatch):
+        inputs, cache = setup
+        runs = inputs[1:7]
+        with open(runs[0], encoding="utf-8") as handle:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(handle.read()))
+        code, out, _ = run_cli(["eval", "--runs", "-", *runs[1:], *inputs[7:]], capsys)
+        assert code == 0 and out
+        assert not cache.exists()
+
+    def test_a_cache_home_that_is_a_file_changes_nothing(self, setup, tmp_path, capsys,
+                                                         monkeypatch):
+        inputs, _ = setup
+        expected = run_cli(["compare", *inputs], capsys)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert run_cli(["compare", *inputs], capsys) == expected
+        assert blocker.read_text() == ""
 
 
 class TestTrajectoryCommand:

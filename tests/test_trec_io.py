@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import os
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import make_run, tiny_campaigns
 
 from rareval import (
     Campaign,
     DataError,
     FormatError,
     ParseError,
+    Qrels,
     Run,
     RunEntry,
     format_qrels,
@@ -22,6 +28,7 @@ from rareval import (
     parse_qrels,
     parse_run_file,
 )
+from rareval import trec_io
 from rareval.errors import ConfigError, RarevalError
 from rareval.trec_io import (
     _CODE_LIMIT,
@@ -549,3 +556,213 @@ class TestCompositeSortKey:
         interner.used = _CODE_LIMIT - 1
         with pytest.raises(DataError, match=re.escape(f"{path}: more run lines")):
             _read_run(path, interner, "reject")
+
+
+def _write_campaign(folder, campaign, form, dedup):
+    """The campaign's run and qrels files in ``folder``: ``form`` "crlf" ends
+    each line in CRLF and "non-ascii" spells every doc-id with an "é"; under
+    ``dedup="first"`` each run file repeats its first line at the end."""
+    paths = []
+    for i, run in enumerate(campaign.runs):
+        data = format_run(run).encode()
+        if dedup == "first" and data:
+            data += data.split(b"\n", 1)[0] + b"\n"
+        if form == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif form == "non-ascii":
+            data = data.replace(b" Q0 d", " Q0 dé".encode())
+        path = folder / f"{i}.run"
+        path.write_bytes(data)
+        paths.append(path)
+    qrels = folder / "qrels.txt"
+    qrels.write_text(format_qrels(campaign.qrels))
+    return paths, qrels
+
+
+def _entries(cache):
+    return sorted(cache.glob("*.npz")) if cache.is_dir() else []
+
+
+def _assert_same_load(got, want):
+    """The same runs, column bytes and vocabulary, and the same qrels."""
+    for run, expected in zip(got.runs, want.runs, strict=True):
+        assert run.system_id == expected.system_id
+        assert list(run.columns) == list(expected.columns)
+        for topic, columns in expected.columns.items():
+            cached = run.columns[topic]
+            for name in ("codes", "scores", "rank_fields"):
+                array, reference = getattr(cached, name), getattr(columns, name)
+                assert array.dtype == reference.dtype
+                assert array.tobytes() == reference.tobytes()
+                assert not array.flags.writeable
+            assert cached.vocab.ids == columns.vocab.ids
+    assert len({id(c.vocab) for run in got.runs for c in run.columns.values()}) == 1
+    assert got.qrels == want.qrels
+
+
+def _no_parse():
+    """Within it, reading a run file fails the test: a load must be a hit."""
+    return mock.patch.object(trec_io, "_read_run", side_effect=AssertionError("parsed"))
+
+
+_CACHED_CAMPAIGN = Campaign(
+    [
+        make_run("s0", {"t1": ["d1", "d2", "d3"], "t0": ["d2"]}),
+        make_run("s1", {"t0": ["d3", "d1"]}),
+    ],
+    Qrels({"t0": {"d1": 1}, "t1": {"d2": 2, "d4": 0}}),
+)
+
+
+class TestLoadCache:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        form=st.sampled_from(["lf", "crlf", "non-ascii"]),
+        dedup=st.sampled_from(["reject", "first"]),
+        order=st.sampled_from(["score", "rank-field"]),
+    )
+    @example(_CACHED_CAMPAIGN, "crlf", "reject", "score")
+    @example(_CACHED_CAMPAIGN, "non-ascii", "reject", "score")
+    @example(_CACHED_CAMPAIGN, "lf", "first", "score")
+    @example(_CACHED_CAMPAIGN, "lf", "reject", "rank-field")
+    def test_a_cached_load_is_the_uncached_load(self, campaign, form, dedup, order):
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp)
+            cache = folder / "cache"
+            runs, qrels = _write_campaign(folder, campaign, form, dedup)
+
+            def load(where=cache):
+                return load_campaign(runs, qrels, dedup=dedup, order=order, cache=where)
+
+            try:
+                want = load(None)
+            except RarevalError as exc:
+                for _ in range(2):  # a parse error is never cached
+                    with pytest.raises(type(exc)) as raised:
+                        load()
+                    assert str(raised.value) == str(exc)
+                assert _entries(cache) == []
+                return
+            _assert_same_load(load(), want)  # cold
+            [entry] = _entries(cache)
+            size = entry.stat().st_size
+            with _no_parse():
+                _assert_same_load(load(), want)  # warm
+            good = entry.read_bytes()
+            # A truncated, empty or garbage entry is a miss, and is rewritten.
+            for damaged in (good[: size // 2], b"", b"not an npz archive\n" * 8):
+                entry.write_bytes(damaged)
+                _assert_same_load(load(), want)
+                assert _entries(cache) == [entry] and entry.stat().st_size == size
+                with _no_parse():
+                    _assert_same_load(load(), want)
+            # A cache path that is a regular file: the load parses, and raises nothing.
+            _assert_same_load(load(qrels), want)
+            assert qrels.read_text() == format_qrels(campaign.qrels)
+            # A one-byte edit to a run file (its first rank field) is a miss.
+            data = runs[0].read_bytes()
+            at = data.index(b" ", data.index(b" ", data.index(b" ") + 1) + 1) + 1
+            runs[0].write_bytes(data[:at] + b"9" + data[at + 1:])
+            fresh = load(None)
+            assert fresh.runs[0].rankings != want.runs[0].rankings
+            _assert_same_load(load(), fresh)
+            assert len(_entries(cache)) == 2
+
+    def test_a_flipped_byte_anywhere_in_an_entry_changes_no_load(self, tmp_path):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        want = load_campaign(runs, qrels)
+        load_campaign(runs, qrels, cache=tmp_path / "cache")
+        [entry] = _entries(tmp_path / "cache")
+        good = entry.read_bytes()
+        for at in range(0, len(good), 7):  # every seventh byte: caught by a check, or inert
+            flipped = bytearray(good)
+            flipped[at] ^= 0x10
+            entry.write_bytes(flipped)
+            _assert_same_load(load_campaign(runs, qrels, cache=tmp_path / "cache"), want)
+            assert entry.stat().st_size == len(good)
+
+    def test_an_entry_of_the_wrong_shape_is_a_miss(self, tmp_path):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        want = load_campaign(runs, qrels)
+        cache = tmp_path / "cache"
+        load_campaign(runs, qrels, cache=cache)
+        [entry] = _entries(cache)
+        with np.load(entry) as stored:
+            good = dict(stored)
+        topics = good["topics"].tobytes().split(b"\n")  # s0's two topics, then s1's
+        for name, bad in [
+            ("codes", good["codes"].astype(np.int64)),  # a dtype
+            ("codes", good["codes"] + len(want.runs[0].columns["t1"].vocab)),  # past the vocab
+            ("codes", good["codes"] - 4),  # negative
+            ("lengths", good["lengths"][:-1]),  # a size
+            ("scores", good["scores"].astype(np.float32)),  # a dtype
+            ("topic_counts", good["topic_counts"] + 1),  # more topics than stored
+            ("tags", good["tags"][:1]),  # a tag short
+            ("topics", np.frombuffer(b"\n".join([topics[0], *topics[:1], *topics[2:]]), np.uint8)),
+        ]:
+            with open(entry, "wb") as handle:
+                np.savez(handle, **{**good, name: bad})
+            _assert_same_load(load_campaign(runs, qrels, cache=cache), want)
+            with _no_parse():
+                _assert_same_load(load_campaign(runs, qrels, cache=cache), want)
+
+    def test_the_key_covers_the_policies_and_the_file_order(self, tmp_path):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        cache = tmp_path / "cache"
+        for order in ("score", "rank-field"):
+            for dedup in ("reject", "first"):
+                for sources in (runs, runs[::-1]):
+                    want = load_campaign(sources, qrels, dedup=dedup, order=order)
+                    got = load_campaign(sources, qrels, dedup=dedup, order=order, cache=cache)
+                    _assert_same_load(got, want)
+        assert len(_entries(cache)) == 8
+
+    def test_streams_are_not_cached(self, tmp_path):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        cache = tmp_path / "cache"
+        with open(runs[0], "rb") as stream:
+            got = load_campaign([io.TextIOWrapper(stream), runs[1]], qrels, cache=cache)
+        _assert_same_load(got, load_campaign(runs, qrels))
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("extra, error", [
+        (None, FileNotFoundError),  # a file that is not there
+        (b"t1 Q0 d9 1 2.0 s0\n", FormatError),  # a second run tagged s0
+        (b"t1 Q0 d9 1 2.0\n", ParseError),  # five fields
+    ], ids=["missing", "same-tag", "malformed"])
+    def test_a_load_error_writes_no_entry_and_is_raised_again(self, tmp_path, extra, error):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        bad = tmp_path / "bad.run"
+        if extra is not None:
+            bad.write_bytes(extra)
+        with pytest.raises(error) as uncached:
+            load_campaign([*runs, bad], qrels)
+        for _ in range(2):
+            with pytest.raises(error) as cached:
+                load_campaign([*runs, bad], qrels, cache=tmp_path / "cache")
+            assert str(cached.value) == str(uncached.value)
+        assert _entries(tmp_path / "cache") == []
+
+    def test_the_least_recently_used_entry_goes_first_once_over_the_budget(
+        self, tmp_path, monkeypatch
+    ):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        cache = tmp_path / "cache"
+
+        def new_entry(**policies):
+            before = set(_entries(cache))
+            load_campaign(runs, qrels, cache=cache, **policies)
+            [entry] = set(_entries(cache)) - before
+            return entry
+
+        a = new_entry(order="score")
+        os.utime(a, (1, 1))
+        size = a.stat().st_size  # the other entries hold the same arrays, reordered
+        monkeypatch.setattr(trec_io, "_CACHE_BUDGET", 2 * size + size // 2)
+        b = new_entry(order="rank-field")
+        os.utime(b, (2, 2))
+        with _no_parse():  # a hit makes a the most recently used
+            load_campaign(runs, qrels, cache=cache, order="score")
+        c = new_entry(dedup="first")
+        assert _entries(cache) == sorted([a, c])

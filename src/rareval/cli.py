@@ -97,11 +97,16 @@ def _run_sources(paths: Sequence[str]):
     return sources, stdin_used
 
 
-def _cache_dir() -> Path:
+def _cache_dir() -> Path | None:
     """The load cache: ``$XDG_CACHE_HOME/rareval``, where that is an absolute
-    path, else ``~/.cache/rareval``."""
+    path, else ``~/.cache/rareval``; None (no cache) without a home directory."""
     base = os.environ.get("XDG_CACHE_HOME", "")
-    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "rareval"
+    if os.path.isabs(base):
+        return Path(base) / "rareval"
+    try:
+        return Path.home() / ".cache" / "rareval"
+    except RuntimeError:  # no $HOME and no passwd entry
+        return None
 
 
 def _load(args):

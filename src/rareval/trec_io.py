@@ -40,16 +40,19 @@ parse errors, so their messages and line numbers do not depend on the fast
 pass.
 
 ``load_campaign(..., cache=DIR)`` keeps each load's parsed runs in ``DIR``
-as one ``.npz`` entry, named by a sha256 over this module's source, the
-dedup and order policies and each run file's content, in order. An entry
-holds the concatenated codes, scores and rank fields, each (run, topic)'s
-length, and the run tags, topics and doc-ids as joined UTF-8. A hit
-rebuilds the runs from the entry without scanning or interning any text; a
-miss parses as above and then writes the entry. A stream among the
-sources, an entry that fails a check (zip CRC, dtypes, sizes, codes) and
-any ``OSError`` of the cache's own all fall back to the parse; a parse
-error, or a system id in two files, writes nothing. The entries are kept
-under ``_CACHE_BUDGET`` bytes, the least recently used deleted first.
+as one ``.npz`` entry, named by a sha256 over this module's source as it
+was imported, the dedup and order policies and each run file's content, in
+order. An entry holds the concatenated codes, scores and rank fields, each
+(run, topic)'s length, and the run tags, topics and doc-ids as joined
+UTF-8. A hit rebuilds the runs from the entry without scanning or
+interning any text; a miss parses as above and then writes the entry, but
+only if every file's parsed bytes hash to the digest in the key (a file
+can change between the two reads). A stream among the sources, an entry
+that fails a check (zip CRC, dtypes, sizes, codes) and any ``OSError`` of
+the cache's own all fall back to the parse; a parse error, or a system id
+in two files, writes nothing. The entries are kept under ``_CACHE_BUDGET``
+bytes, the least recently used deleted first; an entry larger than that
+is not written.
 """
 
 from __future__ import annotations
@@ -537,10 +540,17 @@ def _parse_run_lines(
                  np.array(scores, np.float64), np.array(rank_fields, np.int64))
 
 
-def _read_run(source, interner: _Interner, dedup: DedupPolicy) -> _Scan:
+def _read_run(
+    source, interner: _Interner, dedup: DedupPolicy, digests: list[bytes] | None = None
+) -> _Scan:
     """One run file, scanned into ``interner`` by the fast pass, or else by
-    the line-by-line parser."""
+    the line-by-line parser; the sha256 of the bytes it read is appended to
+    ``digests`` when that is a list."""
     content = _read(source)
+    if digests is not None:
+        import hashlib
+
+        digests.append(hashlib.sha256(content).digest())
     if isinstance(content, bytes):
         scan = _scan(content, interner)
     else:  # without "\r" a text stream's lines all end in "\n" whatever its newline mode
@@ -561,11 +571,12 @@ def _parse_runs(
         raise ConfigError(f"unknown dedup policy {dedup!r} (expected 'reject' or 'first')")
     if order not in ("score", "rank-field"):
         raise ConfigError(f"unknown ordering policy {order!r} (expected 'score' or 'rank-field')")
-    entry = None if cache is None else _cache_entry(cache, sources, dedup, order)
-    if entry is not None and (runs := _cache_read(entry, len(sources))) is not None:
+    key = None if cache is None else _cache_entry(cache, sources, dedup, order)
+    if key is not None and (runs := _cache_read(key[0], len(sources))) is not None:
         return runs
     interner = _Interner()
-    runs = [_read_run(source, interner, dedup) for source in sources]
+    parsed: list[bytes] | None = None if key is None else []
+    runs = [_read_run(source, interner, dedup, parsed) for source in sources]
     vocab, code = interner.vocabulary()
     for i, scan in enumerate(runs):  # each scan is dropped once assembled
         runs[i] = _assemble(scan, vocab, code, order)
@@ -577,12 +588,17 @@ def _parse_runs(
                 f"and {_source_name(source)}"
             )
         where[run.system_id] = _source_name(source)
-    if entry is not None:
-        _cache_write(entry, runs, vocab)
+    if key is not None and parsed == key[1]:  # no file changed between its two reads
+        _cache_write(key[0], runs, vocab)
     return runs
 
 
 _CACHE_BUDGET = 2**30  # bytes of files a cache directory keeps
+try:  # the source this module was imported from, read now so that a later edit
+    with open(__file__, "rb") as _handle:  # cannot key entries this code wrote
+        _SOURCE: bytes | None = _handle.read()
+except OSError:
+    _SOURCE = None  # no key can name this code: loads are not cached
 _ENTRY = {  # an entry's arrays and their dtypes
     "codes": np.int32,
     "scores": np.float64,
@@ -595,10 +611,13 @@ _ENTRY = {  # an entry's arrays and their dtypes
 }
 
 
-def _cache_entry(cache, sources: Sequence, dedup: DedupPolicy, order: OrderPolicy) -> str | None:
-    """The path of this load's entry in ``cache``, or None when a source is a
-    stream or a file cannot be read (the parse then reports it)."""
-    if any(hasattr(source, "read") for source in sources):
+def _cache_entry(
+    cache, sources: Sequence, dedup: DedupPolicy, order: OrderPolicy
+) -> tuple[str, list[bytes]] | None:
+    """The path of this load's entry in ``cache`` and each source's content
+    sha256, or None when a source is a stream, a file cannot be read (the
+    parse then reports it) or this module's source could not be read."""
+    if _SOURCE is None or any(hasattr(source, "read") for source in sources):
         return None
     import hashlib  # here, so that only a cached load imports it
 
@@ -607,10 +626,11 @@ def _cache_entry(cache, sources: Sequence, dedup: DedupPolicy, order: OrderPolic
             return hashlib.sha256(handle.read()).digest()
 
     try:
-        parts = [digest(__file__), f"{dedup}\n{order}\n".encode(), *map(digest, sources)]
+        digests = [digest(source) for source in sources]
     except OSError:
         return None
-    return os.path.join(cache, hashlib.sha256(b"".join(parts)).hexdigest() + ".npz")
+    parts = [hashlib.sha256(_SOURCE).digest(), f"{dedup}\n{order}\n".encode(), *digests]
+    return os.path.join(cache, hashlib.sha256(b"".join(parts)).hexdigest() + ".npz"), digests
 
 
 def _joined(strings: Iterable[str]) -> np.ndarray:
@@ -674,6 +694,10 @@ def _cache_write(entry: str, runs: list[Run], vocab: Vocabulary) -> None:
     parts["tags"] = [_joined(run.system_id for run in runs)]
     parts["topics"] = [_joined(topic for run in runs for topic in run.columns)]
     parts["vocab"] = [_joined(vocab.ids)]
+    size = sum(np.dtype(_ENTRY[name]).itemsize * array.size
+               for name, arrays in parts.items() for array in arrays)
+    if size > _CACHE_BUDGET:  # trimming would delete it, and every other entry first
+        return
     directory = os.path.dirname(entry)
     temporary = f"{entry[:-len('.npz')]}.{os.getpid()}.tmp"
     try:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rareval.cli
 import rareval.stats
 import rareval.trec_io
 from rareval import (
@@ -615,6 +616,18 @@ class TestLoadCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         assert run_cli(["compare", *inputs], capsys) == expected
         assert blocker.read_text() == ""
+
+    def test_no_home_directory_means_no_cache(self, setup, capsys, monkeypatch):
+        inputs, cache = setup
+        expected = run_cli(["compare", *inputs], capsys)
+        monkeypatch.delenv("XDG_CACHE_HOME")
+
+        def no_home(cls):  # as without $HOME and without a passwd entry
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.setattr(rareval.cli.Path, "home", classmethod(no_home))
+        assert rareval.cli._cache_dir() is None
+        assert run_cli(["compare", *inputs], capsys) == expected
 
 
 class TestTrajectoryCommand:

@@ -718,6 +718,18 @@ class TestLoadCache:
                     _assert_same_load(got, want)
         assert len(_entries(cache)) == 8
 
+    def test_the_key_covers_the_module_source_read_at_import(self, tmp_path, monkeypatch):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        want = load_campaign(runs, qrels)
+        cache = tmp_path / "cache"
+        load_campaign(runs, qrels, cache=cache)
+        monkeypatch.setattr(trec_io, "_SOURCE", trec_io._SOURCE + b"\n")  # an edited parser
+        _assert_same_load(load_campaign(runs, qrels, cache=cache), want)
+        assert len(_entries(cache)) == 2
+        monkeypatch.setattr(trec_io, "_SOURCE", None)  # a source that could not be read
+        _assert_same_load(load_campaign(runs, qrels, cache=cache), want)
+        assert len(_entries(cache)) == 2
+
     def test_streams_are_not_cached(self, tmp_path):
         runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
         cache = tmp_path / "cache"
@@ -743,6 +755,40 @@ class TestLoadCache:
                 load_campaign([*runs, bad], qrels, cache=tmp_path / "cache")
             assert str(cached.value) == str(uncached.value)
         assert _entries(tmp_path / "cache") == []
+
+    def test_a_file_edited_between_its_two_reads_writes_no_entry(self, tmp_path):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        cache = tmp_path / "cache"
+        original = runs[0].read_bytes()
+        edited = original.replace(b" 1 ", b" 7 ", 1)  # s0's first rank field
+        read = trec_io._read
+
+        def edit_then_read(source):  # the key has hashed the original bytes
+            if source == runs[0]:
+                runs[0].write_bytes(edited)
+            return read(source)
+
+        with mock.patch.object(trec_io, "_read", side_effect=edit_then_read):
+            got = load_campaign(runs, qrels, cache=cache)
+        assert _entries(cache) == []
+        _assert_same_load(got, load_campaign(runs, qrels))  # the edited file's runs
+        runs[0].write_bytes(original)
+        want = load_campaign(runs, qrels)
+        assert want.runs[0].rankings != got.runs[0].rankings
+        _assert_same_load(load_campaign(runs, qrels, cache=cache), want)
+        assert len(_entries(cache)) == 1
+
+    def test_an_entry_over_the_budget_is_not_written_and_trims_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        runs, qrels = _write_campaign(tmp_path, _CACHED_CAMPAIGN, "lf", "reject")
+        cache = tmp_path / "cache"
+        load_campaign(runs, qrels, cache=cache)
+        kept = _entries(cache)
+        monkeypatch.setattr(trec_io, "_CACHE_BUDGET", 64)  # below any entry's arrays
+        got = load_campaign(runs, qrels, cache=cache, order="rank-field")
+        _assert_same_load(got, load_campaign(runs, qrels, order="rank-field"))
+        assert _entries(cache) == kept and len(kept) == 1
 
     def test_the_least_recently_used_entry_goes_first_once_over_the_budget(
         self, tmp_path, monkeypatch

@@ -9,10 +9,10 @@ precision family scores them unless the same exclusion is requested.
 One scorer, ``_SubsetScorer``, scores rows of a campaign's hit tables with the
 one metric formula, ``metrics.score_hits``, which sums gains in rank order.
 Rarity counts are column sums of its incidence grid over the scored rows.
-It reads rankings as codes into the union of the runs' vocabularies (the
-loader's own when a campaign has one): a topic's hits are a lookup in a
-mask of its relevant codes, and its grid is set by scattering each row's
-codes through a code-to-column array, with no per-document Python loop.
+It reads rankings as the runs' own codes into the campaign's one code
+space, ``Campaign.vocab``: a topic's hits are a lookup in a mask of its
+relevant codes, and its grid is set by scattering each row's codes through
+a code-to-column array, with no per-document Python loop and no copy.
 ``evaluate_campaign`` scores all its specs and rows with one, built at the
 deepest spec's depth; the subset experiment (``stats``) and the probe
 trajectory (``synth``) score row subsets. All agree bit for bit, and none
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
 from .rarity import check_count_depth, rarity_of_counts
-from .trec_io import Campaign, union_vocabulary
+from .trec_io import Campaign
 
 
 @dataclass
@@ -87,8 +87,9 @@ class _SubsetScorer:
     """The one loop that scores a campaign: rows of its systems, one hit table
     per judged topic at ``spec``'s scoring depth, rows in ``system_ids`` order.
 
-    Rankings are codes into the union of the runs' vocabularies, so hit
-    tables and count grids come from numpy indexing, not from doc-id strings.
+    Rankings are the runs' codes into ``campaign.vocab``, read as they are,
+    so hit tables and count grids come from numpy indexing, not from doc-id
+    strings.
     """
 
     def __init__(self, campaign: Campaign, spec: MetricSpec, *, rarity_depth, ap_depth):
@@ -100,15 +101,9 @@ class _SubsetScorer:
         self.topics = campaign.judged_topics
         self.n_rel = [campaign.qrels.n_relevant(t) for t in self.topics]
         self.bound = metric_bound(spec, ap_depth)
-        vocab, to_union = union_vocabulary(
-            c.vocab for run in self.runs for c in run.columns.values()
-        )
-        no_docs = np.zeros(0, np.intp)
+        vocab, no_docs = campaign.vocab, np.zeros(0, np.int32)
         self.codes = [  # per topic, each row's ranking as codes into ``vocab``
-            [
-                no_docs if (c := run.columns.get(t)) is None else to_union[c.vocab][c.codes]
-                for run in self.runs
-            ]
+            [no_docs if (c := run.columns.get(t)) is None else c.codes for run in self.runs]
             for t in self.topics
         ]
         self.n_codes = len(vocab)

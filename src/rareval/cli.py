@@ -68,9 +68,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, rows: list[dict]) -> None:
+def _emit(args, rows: list[dict], **extra) -> None:
+    """``rows`` as TSV, or as JSON with the ``extra`` keys after them."""
     if args.json:
-        print(json.dumps({"command": args.command, "rows": rows}, indent=2))
+        print(json.dumps({"command": args.command, "rows": rows, **extra}, indent=2))
     else:
         for row in rows:
             print("\t".join(_fmt(v) for v in row.values()))
@@ -384,16 +385,8 @@ def _cmd_trajectory(args) -> int:
     for result in results:
         for d, rank in result.ranks:
             rows.append({"alpha": result.alpha, "D": d, "rank": rank})
-    if args.json:
-        payload = {
-            "command": args.command,
-            "rows": rows,
-            "d_star": {str(r.alpha): r.d_star for r in results},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for row in rows:
-            print("\t".join(_fmt(v) for v in row.values()))
+    _emit(args, rows, d_star={str(r.alpha): r.d_star for r in results})
+    if not args.json:
         for result in results:
             print(f"note: alpha={result.alpha:g}: d_star={result.d_star}", file=sys.stderr)
     return 0

@@ -19,7 +19,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, UndefinedRarityError
-from .trec_io import Campaign, Run, union_vocabulary
+from .trec_io import Campaign, Run
 
 RarityVariant = Literal["eq2", "revised"]
 
@@ -61,19 +61,17 @@ def check_count_depth(count_depth: int | None) -> None:
 def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> RarityIndex:
     """Count, per (topic, doc), how many distinct systems retrieve it."""
     check_count_depth(count_depth)
-    vocab, to_union = union_vocabulary(
-        c.vocab for run in campaign.runs for c in run.columns.values()
-    )
     scopes: dict[str, list[np.ndarray]] = {}
     for run in campaign.runs:
         for topic, c in run.columns.items():
-            scopes.setdefault(topic, []).append(to_union[c.vocab][c.codes[:count_depth]])
+            scopes.setdefault(topic, []).append(c.codes[:count_depth])
     # A run lists a doc at most once per topic, so occurrences count systems.
     counts: dict[str, dict[str, int]] = {}
+    ids = campaign.vocab.ids
     for topic, scoped in scopes.items():
         n = np.bincount(np.concatenate(scoped))
         found = np.flatnonzero(n)
-        counts[topic] = dict(zip(map(vocab.ids.__getitem__, found.tolist()), n[found].tolist()))
+        counts[topic] = dict(zip(map(ids.__getitem__, found.tolist()), n[found].tolist()))
     return RarityIndex(campaign.n_systems, counts, count_depth)
 
 

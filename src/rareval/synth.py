@@ -152,15 +152,13 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
             private = rng.permutation(spec.doc_pool_size)
             picked = _picks(take_shared, private, shared_orders[topic])
             columns[topic] = _ranked(picked, pool)
-        runs.append(Run.of_columns(f"sys{s:03d}", columns))
+        runs.append(Run(f"sys{s:03d}", columns))
     return Campaign(runs, Qrels(judgments, relevance_threshold=1))
 
 
 def _all_known_docs(campaign: Campaign) -> set[str]:
-    """The doc-ids of the campaign's vocabularies and qrels."""
-    known: set[str] = set()
-    for vocab in {c.vocab for run in campaign.runs for c in run.columns.values()}:
-        known.update(vocab.ids)
+    """The doc-ids of the campaign's vocabulary and qrels."""
+    known = set(campaign.vocab.ids)
     for by_doc in campaign.qrels.judgments.values():
         known.update(by_doc)
     return known
@@ -180,7 +178,7 @@ def _fresh_doc_ids(campaign: Campaign, tag: str, count: int) -> list[str]:
 
 def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
     vocab, (codes,) = intern([docs])
-    return Run.of_columns(tag, {topic: _ranked(codes, vocab)})
+    return Run(tag, {topic: _ranked(codes, vocab)})
 
 
 def make_rare_system(
@@ -289,7 +287,7 @@ def rank_trajectory(
         qrels = base.qrels
     columns = probe.columns[topic]
     probes = [
-        Run.of_columns(f"{tag} D={d}", {topic: _ranked(columns.codes[:d], columns.vocab)})
+        Run(f"{tag} D={d}", {topic: _ranked(columns.codes[:d], columns.vocab)})
         for d in range(1, d_max + 1)
     ]
     stacked = Campaign(base.runs + probes, qrels)

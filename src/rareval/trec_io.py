@@ -10,11 +10,14 @@ rank column is ignored unless ``order="rank-field"`` is requested).
 A ``Run`` stores each topic's ranking as columns in canonical order
 (``RunColumns``): int32 codes into a ``Vocabulary`` (``ids[code]`` is the
 doc-id), a read-only float64 score array and a read-only int64 rank-field
-array. ``RunColumns.docs`` and ``Run.rankings`` (``RunEntry`` tuples) are
-views built from the codes on each access. The runs of one
-``load_campaign`` share one vocabulary; a ``Run`` built from entries
-interns into a vocabulary of its own. ``union_vocabulary`` maps any mix of
-them into one.
+array; ``Run(system_id, columns)`` is its one constructor.
+``RunColumns.docs`` and ``Run.rankings`` (``RunEntry`` tuples) are views
+built from the codes on each access. A ``Campaign`` owns one code space,
+``Campaign.vocab``: every column of its runs points at it. The runs of one
+``load_campaign`` already share one vocabulary, and a campaign over them
+keeps the very ``Run`` objects; runs over other vocabularies (a probe, a run
+built in memory) come back as new ``Run``s re-coded into the union, and the
+caller's runs are left as they are.
 
 ``parse_run_file`` and ``load_campaign`` read each source whole and parse
 it in two phases. Phase one, per file: its kept lines as columns, each
@@ -107,32 +110,33 @@ class Vocabulary:
 
 def intern(groups: Iterable[Iterable[str]]) -> tuple[Vocabulary, list[np.ndarray]]:
     """One new vocabulary over the doc-ids of ``groups``, in first-seen order,
-    and each group's read-only int32 codes into it."""
+    and each group's int32 codes into it."""
     code_of: dict[str, int] = {}
     # setdefault's default is evaluated first, so a new doc gets the next code.
     codes = [
-        _read_only(np.array([code_of.setdefault(doc, len(code_of)) for doc in docs], np.int32))
+        np.array([code_of.setdefault(doc, len(code_of)) for doc in docs], np.int32)
         for docs in groups
     ]
     return Vocabulary(list(code_of), code_of), codes
 
 
 def union_vocabulary(
-    vocabs: Iterable[Vocabulary],
+    vocabs: Sequence[Vocabulary],
 ) -> tuple[Vocabulary, dict[Vocabulary, np.ndarray]]:
-    """One vocabulary over ``vocabs`` and, per vocabulary, the array mapping its
-    codes into it: the first maps by the identity and is the union's prefix."""
-    distinct = list(dict.fromkeys(vocabs)) or [Vocabulary([])]
-    base = distinct[0]
+    """One vocabulary over the distinct ``vocabs`` and, for each but the first,
+    the int32 array mapping its codes into it; the first's codes stay valid,
+    as its doc-ids are the union's prefix."""
+    base, *others = vocabs
     ids, code_of = base.ids, base.code_of
     extra: dict[str, int] = {}
-    maps = {base: np.arange(len(ids))}
-    for vocab in distinct[1:]:
-        maps[vocab] = np.array(
+    maps = {
+        vocab: np.array(
             [code_of[d] if d in code_of else extra.setdefault(d, len(ids) + len(extra))
              for d in vocab.ids],
-            dtype=np.intp,
+            dtype=np.int32,
         )
+        for vocab in others
+    }
     return (Vocabulary(ids + list(extra)) if extra else base), maps
 
 
@@ -150,46 +154,18 @@ class RunColumns(NamedTuple):
         return tuple(map(self.vocab.ids.__getitem__, self.codes.tolist()))
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 class Run:
-    """One system's ranked document lists, keyed by topic.
-
-    ``Run(system_id, rankings)`` takes ``RunEntry`` sequences already in
-    canonical order and interns their doc-ids into a vocabulary of its own;
-    ``Run.of_columns`` takes the columns themselves.
-    """
+    """One system's ranked document lists, keyed by topic: ``columns`` already
+    in canonical order, whose arrays are made read-only."""
 
     __slots__ = ("system_id", "columns")
 
-    def __init__(self, system_id: str, rankings: Mapping[str, Sequence[RunEntry]]):
+    def __init__(self, system_id: str, columns: Mapping[str, RunColumns]):
         self.system_id = system_id
-        vocab, codes = intern([e.doc for e in entries] for entries in rankings.values())
-        self.columns: dict[str, RunColumns] = {
-            topic: RunColumns(
-                topic_codes,
-                _read_only(np.array([e.score for e in entries], dtype=np.float64)),
-                _read_only(np.array([e.rank_field for e in entries], dtype=np.int64)),
-                vocab,
-            )
-            for (topic, entries), topic_codes in zip(rankings.items(), codes)
-        }
-
-    @classmethod
-    def of_columns(cls, system_id: str, columns: Mapping[str, RunColumns]) -> "Run":
-        """A run over ``columns``, which are already in canonical order."""
-        run = cls.__new__(cls)
-        run.system_id = system_id
-        run.columns = {
-            topic: RunColumns(
-                _read_only(c.codes), _read_only(c.scores), _read_only(c.rank_fields), c.vocab
-            )
-            for topic, c in columns.items()
-        }
-        return run
+        self.columns: dict[str, RunColumns] = dict(columns)
+        for c in self.columns.values():
+            for array in (c.codes, c.scores, c.rank_fields):
+                array.flags.writeable = False
 
     @property
     def topics(self) -> tuple[str, ...]:
@@ -276,10 +252,16 @@ class Qrels:
 
 @dataclass
 class Campaign:
-    """A full evaluation campaign: one qrels plus S >= 1 runs with distinct ids."""
+    """A full evaluation campaign: one qrels plus S >= 1 runs with distinct ids.
+
+    ``vocab`` is the campaign's one code space: every column of ``runs``
+    holds codes into it. Runs over another vocabulary are replaced by copies
+    re-coded into the union of all of them (see the module docstring).
+    """
 
     runs: list[Run]
     qrels: Qrels
+    vocab: Vocabulary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.runs:
@@ -289,6 +271,21 @@ class Campaign:
             if run.system_id in seen:
                 raise FormatError(f"duplicate system id {run.system_id!r}")
             seen.add(run.system_id)
+        vocabs = list(dict.fromkeys(c.vocab for run in self.runs for c in run.columns.values()))
+        if len(vocabs) <= 1:
+            self.vocab = vocabs[0] if vocabs else Vocabulary([])
+            return
+        self.vocab, to_union = union_vocabulary(vocabs)
+
+        def recoded(c: RunColumns) -> RunColumns:
+            codes = c.codes if c.vocab is vocabs[0] else to_union[c.vocab][c.codes]
+            return c._replace(codes=codes, vocab=self.vocab)
+
+        self.runs = [
+            run if all(c.vocab is self.vocab for c in run.columns.values())
+            else Run(run.system_id, {topic: recoded(c) for topic, c in run.columns.items()})
+            for run in self.runs
+        ]
 
     @property
     def n_systems(self) -> int:
@@ -327,7 +324,7 @@ class Campaign:
         """A campaign view containing only the given topics."""
         keep = set(topics)
         runs = [
-            Run.of_columns(r.system_id, {t: c for t, c in r.columns.items() if t in keep})
+            Run(r.system_id, {t: c for t, c in r.columns.items() if t in keep})
             for r in self.runs
         ]
         judgments = {
@@ -471,7 +468,7 @@ def _assemble(scan: _Scan, vocab: Vocabulary, code: np.ndarray, order: OrderPoli
     perm = np.argsort(pair * size + (size - 1 - codes))
     codes, scores, rank_fields = codes[perm], scan.scores[perm], scan.rank_fields[perm]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(scan.topic)))).tolist()
-    return Run.of_columns(scan.tag, {
+    return Run(scan.tag, {
         topic: RunColumns(codes[a:b], scores[a:b], rank_fields[a:b], vocab)
         for topic, a, b in zip(scan.topics, bounds, bounds[1:])
     })
@@ -673,7 +670,7 @@ def _cache_read(entry: str, n_runs: int) -> list[Run] | None:
         }
         if len(columns) != count:
             return None  # a topic twice in one run
-        runs.append(Run.of_columns(tag, columns))
+        runs.append(Run(tag, columns))
     with contextlib.suppress(OSError):
         os.utime(entry)  # trimming deletes the least recently used first
     return runs

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+import oracles
 from rareval import Campaign, MetricConfig, MetricSpec, Qrels, Run, RunEntry
 
 
@@ -39,7 +40,7 @@ def make_run(system_id: str, per_topic: dict[str, list[str]]) -> Run:
         )
         for topic, docs in per_topic.items()
     }
-    return Run(system_id, rankings)
+    return oracles.run_of_entries(system_id, rankings)
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ by scanning every run on every lookup, and the average-precision references
 re-evaluate each prefix from scratch.
 
 ``RunsDocs`` is ``{system_id: {topic: [doc, ...]}}`` in evaluation order;
-``canonical_order`` is that order, by sorting, over plain tuples.
+``canonical_order`` is that order, by sorting, over plain tuples, and
+``run_of_entries`` builds a package ``Run`` from entries in that order,
+without parsing.
 
 The studentized-range references are the package's former scipy-based CDF and
 bisection quantile, kept unchanged with their own copy of the rule constants.
@@ -203,6 +205,23 @@ def canonical_order(entries, order):
         return sorted(entries, key=lambda e: (e[1], e[0]), reverse=True)
     by_doc = sorted(entries, key=lambda e: e[0], reverse=True)
     return sorted(by_doc, key=lambda e: e[2])
+
+
+def run_of_entries(system_id, rankings):
+    """A package ``Run`` over ``{topic: [RunEntry, ...]}`` already in canonical
+    order, its doc-ids numbered first-seen in a vocabulary of its own."""
+    from rareval.trec_io import Run, RunColumns, intern
+
+    vocab, codes = intern([e.doc for e in entries] for entries in rankings.values())
+    return Run(system_id, {
+        topic: RunColumns(
+            topic_codes,
+            np.array([e.score for e in entries], dtype=np.float64),
+            np.array([e.rank_field for e in entries], dtype=np.int64),
+            vocab,
+        )
+        for (topic, entries), topic_codes in zip(rankings.items(), codes)
+    })
 
 
 def campaign_to_plain(campaign):

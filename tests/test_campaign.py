@@ -13,6 +13,7 @@ from rareval import (
     MetricSpec,
     Qrels,
     SynthSpec,
+    build_rarity_index,
     evaluate_campaign,
     format_run,
     generate_campaign,
@@ -340,7 +341,9 @@ def _scores_or_error(scorer, rows, spec):
 
 class TestMixedVocabularies:
     """Runs built in memory each intern into a vocabulary of their own; loaded
-    runs share one. The scorer maps them into one union either way."""
+    runs share one. A campaign owns one code space, ``Campaign.vocab``: it
+    keeps runs already over it and re-codes copies of the others into it, so
+    the scorer and the rarity index read the codes as they are."""
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(
@@ -357,7 +360,11 @@ class TestMixedVocabularies:
         topic = data.draw(st.sampled_from(campaign.judged_topics))
         tag = data.draw(st.sampled_from(["a-probe", "z-probe"]))  # its row first or last
         probe, qrels = make_rare_system(campaign, topic, d, tag=tag)
+        probe_vocab = probe.columns[topic].vocab
         mixed = Campaign([*campaign.runs, probe], qrels)
+        # The caller's runs keep their own vocabularies.
+        assert probe.columns[topic].vocab is probe_vocab
+        assert all(c.vocab is campaign.vocab for run in campaign.runs for c in run.columns.values())
         assume(all(format_run(run) for run in mixed.runs))  # no empty run file
         folder = tmp_path_factory.mktemp("runs")
         paths = []
@@ -365,7 +372,13 @@ class TestMixedVocabularies:
             paths.append(folder / f"{i}.run")
             paths[-1].write_text(format_run(run))
         loaded = Campaign(load_campaign(paths, io.StringIO("")).runs, qrels)
-        assert len({c.vocab for run in loaded.runs for c in run.columns.values()}) == 1
+        for both in (mixed, loaded):
+            assert all(c.vocab is both.vocab for run in both.runs for c in run.columns.values())
+        # An empty ranking writes no line, so its topic has no counts once loaded.
+        counts = build_rarity_index(mixed, rarity_depth).counts
+        assert {t: n for t, n in counts.items() if n} == (
+            build_rarity_index(loaded, rarity_depth).counts
+        )
         spec = data.draw(metric_specs(kind))
         depths = dict(rarity_depth=rarity_depth, ap_depth=ap_depth)
         n = mixed.n_systems
@@ -376,3 +389,12 @@ class TestMixedVocabularies:
                 assert _scores_or_error(_SubsetScorer(mixed, spec, **depths), rows, spec) == (
                     _scores_or_error(_SubsetScorer(loaded, spec, **depths), rows, spec)
                 )
+
+    def test_a_campaign_over_loaded_runs_keeps_the_runs_and_the_load_vocabulary(self):
+        runs = ["t1 Q0 d2 1 2.0 A\nt2 Q0 d1 1 1.0 A\n", "t1 Q0 d3 1 1.0 B\n"]
+        loaded = load_campaign(list(map(io.StringIO, runs)), io.StringIO("t1 0 d2 1\n"))
+        (vocab,) = {c.vocab for run in loaded.runs for c in run.columns.values()}
+        campaign = Campaign(loaded.runs, loaded.qrels)
+        assert all(ours is theirs for ours, theirs in zip(campaign.runs, loaded.runs))
+        assert campaign.vocab is vocab and loaded.vocab is vocab
+        assert campaign.restricted_to_topics(["t1"]).vocab is vocab

@@ -20,7 +20,6 @@ from rareval import (
     FormatError,
     ParseError,
     Qrels,
-    Run,
     RunEntry,
     format_qrels,
     format_run,
@@ -66,7 +65,7 @@ def line_parsed(lines, dedup, order):
         scan.topic.tolist(), scan.ids.tolist(), scan.scores.tolist(), scan.rank_fields.tolist()
     ):
         per_topic[scan.topics[topic]].append((doc_of[i], score, rank_field))
-    return Run(scan.tag, {
+    return oracles.run_of_entries(scan.tag, {
         topic: [RunEntry(*e) for e in oracles.canonical_order(entries, order)]
         for topic, entries in per_topic.items()
     })
@@ -162,7 +161,7 @@ class TestParseRun:
             "t1": (RunEntry("d2", 9.0, 3), RunEntry("d1", 2.5, 7)),
             "t2": (RunEntry("d1", 1.0, 1),),
         }
-        assert Run("A", run.rankings) == run
+        assert oracles.run_of_entries("A", run.rankings) == run
         run.rankings["t1"] = ()  # a copy: the run is unchanged
         assert run.docs("t1") == ("d2", "d1")
 

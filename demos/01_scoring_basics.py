@@ -1,8 +1,9 @@
 """Score a tiny four-system campaign and inspect document rarity.
 
-Walks the core objects end to end: parse TREC-format text, build the
-cross-system retrieval-count index, score one system with the standard and
-rarity-weighted metrics, and print the per-topic rarity report.
+Walks the core objects end to end: parse TREC-format text, print the
+per-topic rarity report, build the cross-system retrieval-count index that
+the per-cell metrics read, and score one system with the standard and
+rarity-weighted metrics.
 """
 
 import io
@@ -34,12 +35,12 @@ campaign = load_campaign(
 print(f"{campaign.n_systems} systems, topics: {campaign.judged_topics}")
 
 # Every system finds d1, two find d2, only B finds d3.
-index = build_rarity_index(campaign)
 print("\nrarity report for t1 (rarest first):")
-for row in rarity_report(campaign, index, "t1"):
+for row in rarity_report(campaign, "t1"):
     print(f"  {row.doc}: retrieved by {row.retrievers}/4 systems, rarity {row.rarity:.2f}")
 
 # System B's unique find (d3) is worth extra under the weighted metric.
+index = build_rarity_index(campaign)
 relevant = campaign.qrels.relevant("t1")
 docs_b = campaign.run_for("B").docs("t1")
 print(f"\nP@3 for B:                 {precision_at_k(docs_b, relevant, 3):.4f}")

@@ -11,8 +11,8 @@ one metric formula, ``metrics.score_hits``, which sums gains in rank order.
 Rarity counts are column sums of its incidence grid over the scored rows.
 It reads rankings as the runs' own codes into the campaign's one code
 space, ``Campaign.vocab``: a topic's hits are a lookup in a mask of its
-relevant codes, and its grid is set by scattering each row's codes through
-a code-to-column array, with no per-document Python loop and no copy.
+relevant codes, and its grid is ``rarity.retrieval_grid`` of each row's codes
+through a code-to-column array, with no per-document Python loop.
 ``evaluate_campaign`` scores all its specs and rows with one, built at the
 deepest spec's depth; the subset experiment (``stats``) and the probe
 trajectory (``synth``) score row subsets. All agree bit for bit, and none
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
-from .rarity import check_count_depth, rarity_of_counts
+from .rarity import check_count_depth, rarity_of_counts, retrieval_grid
 from .trec_io import Campaign
 
 
@@ -123,16 +123,10 @@ class _SubsetScorer:
         depth: the retrieval counts of some rows are its column sums over them."""
         grids = []
         column = np.full(self.n_codes, -1, dtype=np.intp)  # a hit doc's grid column
-        rows = np.arange(len(self.runs))
         for codes, table in zip(self.codes, self.tables):
             column[table.codes] = np.arange(len(table.docs))
-            scoped = [row_codes[: self.rarity_depth] for row_codes in codes]
-            cols = column[np.concatenate(scoped)]
-            row = np.repeat(rows, list(map(len, scoped)))
-            grid = np.zeros((len(self.runs), len(table.docs)), dtype=bool)
-            grid[row[cols >= 0], cols[cols >= 0]] = True
+            grids.append(retrieval_grid(codes, column, len(table.docs), self.rarity_depth))
             column[table.codes] = -1
-            grids.append(grid)
         return grids
 
     def scores(self, rows: np.ndarray, spec: MetricSpec):

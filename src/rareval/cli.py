@@ -36,7 +36,7 @@ from typing import Sequence
 from .campaign import evaluate_campaign, mean_scores, rank_systems
 from .errors import ConfigError, DataError, RarevalError
 from .metrics import DEFAULT_CUTOFF, MetricSpec
-from .rarity import build_rarity_index, rarity_report
+from .rarity import rarity_report
 from .rng import DEFAULT_SEED, MAX_SEED
 from .stats import (
     SIGNIFICANCE_LEVELS,
@@ -394,20 +394,12 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_report(args) -> int:
     campaign = _load(args)
-    index = build_rarity_index(campaign, args.rarity_depth)
     topics = [args.topic] if args.topic else list(campaign.judged_topics)
-    rows: list[dict] = []
-    for topic in topics:
-        for row in rarity_report(campaign, index, topic, args.rarity):
-            rows.append(
-                {
-                    "topic": topic,
-                    "doc": row.doc,
-                    "grade": row.grade,
-                    "retrievers": row.retrievers,
-                    "rarity": row.rarity,
-                }
-            )
+    rows = [
+        {"topic": topic, **row._asdict()}  # doc, grade, retrievers, rarity
+        for topic in topics
+        for row in rarity_report(campaign, topic, args.rarity, count_depth=args.rarity_depth)
+    ]
     _emit(args, rows)
     return 0
 

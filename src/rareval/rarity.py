@@ -6,8 +6,10 @@ systems total and ``S_d`` of them retrieving document ``d`` for a topic:
 * ``rareness``            -- ``1 - S_d/S``, in ``[0, (S-1)/S]``
 * ``rareness_revised``    -- ``1 - (S_d-1)/(S-1)``, rescaled to ``[0, 1]``
 
-Counts are computed once per campaign and frozen; metric code only ever asks
-about documents that at least one indexed system retrieved (``S_d >= 1``).
+Commands count as column sums of ``retrieval_grid``, a grid of which systems
+retrieve which documents of a topic. None builds the frozen ``RarityIndex``
+that the per-cell functions read; those only ever ask about documents that
+at least one indexed system retrieved (``S_d >= 1``).
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class RarityIndex:
         """How many systems retrieved ``doc`` for ``topic`` (0 if none)."""
         return self.counts.get(topic, {}).get(doc, 0)
 
-    def topic_counts(self, topic: str) -> dict[str, int]:
-        return self.counts.get(topic, {})
-
 
 def is_depth(value) -> bool:
     """Whether ``value`` is an integer of at least 1 (numpy's too, not a bool)."""
@@ -73,6 +72,30 @@ def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> Ra
         found = np.flatnonzero(n)
         counts[topic] = dict(zip(map(ids.__getitem__, found.tolist()), n[found].tolist()))
     return RarityIndex(campaign.n_systems, counts, count_depth)
+
+
+def retrieval_grid(rankings: Sequence[np.ndarray], column: np.ndarray, n_columns: int,
+                   depth: int | None) -> np.ndarray:
+    """Rows x ``n_columns``: True where a row's ranking, cut at ``depth``, holds a
+    code that ``column`` maps there; -1 maps to a spare last column, cut off."""
+    grid = np.zeros((len(rankings), n_columns + 1), dtype=bool)
+    for row, codes in zip(grid, rankings):  # row by row: no campaign-sized temporaries
+        row[column[codes[:depth]]] = True
+    return grid[:, :n_columns]
+
+
+def relevant_counts(campaign: Campaign, topic: str,
+                    count_depth: int | None = None) -> dict[str, int]:
+    """How many systems retrieve each relevant document of ``topic`` within
+    ``count_depth``; a document no system retrieves is absent."""
+    check_count_depth(count_depth)
+    code_of = campaign.vocab.code_of
+    docs = [doc for doc in campaign.qrels.relevant(topic) if doc in code_of]
+    column = np.full(len(campaign.vocab), -1, dtype=np.intp)
+    column[[code_of[doc] for doc in docs]] = np.arange(len(docs))
+    rankings = [run.columns[topic].codes for run in campaign.runs if topic in run.columns]
+    counts = retrieval_grid(rankings, column, len(docs), count_depth).sum(axis=0).tolist()
+    return {doc: n for doc, n in zip(docs, counts) if n}
 
 
 def extend_index(index: RarityIndex, run: Run) -> RarityIndex:
@@ -135,23 +158,22 @@ class RarityRow(NamedTuple):
 
 def rarity_report(
     campaign: Campaign,
-    index: RarityIndex,
     topic: str,
     variant: RarityVariant = "eq2",
+    *,
+    count_depth: int | None = None,
 ) -> list[RarityRow]:
-    """Judged-relevant retrieved documents for a topic, rarest first.
+    """Judged-relevant documents of a topic retrieved within ``count_depth``, rarest first.
 
     Ties in rarity are broken by ascending doc-id, so output is stable.
     """
     if topic not in campaign.qrels.judgments:
         raise DataError(f"topic {topic!r} is not judged in the qrels")
-    by_doc = index.topic_counts(topic)
-    found = [doc for doc in campaign.qrels.relevant(topic) if by_doc.get(doc, 0) >= 1]
-    counts = [by_doc[doc] for doc in found]
-    rarities = rarity_of_counts(counts, index.total_systems, variant)
+    by_doc = relevant_counts(campaign, topic, count_depth)
+    rarities = rarity_of_counts(list(by_doc.values()), campaign.n_systems, variant)
     rows = [
         RarityRow(doc, campaign.qrels.grade(topic, doc), s_d, float(rarity))
-        for doc, s_d, rarity in zip(found, counts, rarities)
+        for (doc, s_d), rarity in zip(by_doc.items(), rarities)
     ]
     rows.sort(key=lambda r: (-r.rarity, r.doc))
     return rows

@@ -19,7 +19,7 @@ Two hypothetical probe systems can be inserted into any campaign:
 * ``make_rare_system``   -- retrieves fresh documents nobody else has, each
   added to the qrels as relevant (uniquely-found by construction).
 * ``make_common_system`` -- retrieves the topic's most commonly-retrieved
-  relevant documents first.
+  relevant documents first, as ``rarity.relevant_counts`` counts them.
 
 ``rank_trajectory`` inserts one of them and tracks its midrank as the number
 of retrieved relevant documents grows.
@@ -38,7 +38,7 @@ import numpy as np
 from .campaign import _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
-from .rarity import RarityIndex, build_rarity_index, is_depth
+from .rarity import is_depth, relevant_counts
 from .rng import DEFAULT_SEED, check_seed, substream
 from .trec_io import Campaign, Qrels, Run, RunColumns, Vocabulary, intern
 
@@ -200,27 +200,18 @@ def make_common_system(
     topic: str,
     d: int,
     *,
-    index: RarityIndex | None = None,
+    count_depth: int | None = None,
     tag: str = "hyp-common",
 ) -> Run:
     """A run of the ``d`` most commonly-retrieved relevant documents.
 
-    Documents are ordered by how many systems retrieve them (descending),
-    ties broken by ascending doc-id.
+    Documents are ordered by how many systems retrieve them within
+    ``count_depth`` (descending), ties broken by ascending doc-id.
     """
     if d < 1:
         raise DataError(f"the probe system needs at least 1 document, got {d}")
-    if index is None:
-        index = build_rarity_index(campaign)
-    counts = index.topic_counts(topic)
-    available = sorted(
-        (
-            (doc, counts[doc])
-            for doc in campaign.qrels.relevant(topic)
-            if counts.get(doc, 0) >= 1
-        ),
-        key=lambda item: (-item[1], item[0]),
-    )
+    counts = relevant_counts(campaign, topic, count_depth)
+    available = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     if d > len(available):
         raise DataError(
             f"only {len(available)} relevant retrieved documents exist for "
@@ -282,8 +273,7 @@ def rank_trajectory(
     if kind == "rare":
         probe, qrels = make_rare_system(base, topic, d_max, tag=tag)
     else:
-        index = build_rarity_index(base, rarity_depth)
-        probe = make_common_system(base, topic, d_max, index=index, tag=tag)
+        probe = make_common_system(base, topic, d_max, count_depth=rarity_depth, tag=tag)
         qrels = base.qrels
     columns = probe.columns[topic]
     probes = [

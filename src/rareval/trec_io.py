@@ -156,13 +156,13 @@ class RunColumns(NamedTuple):
 
 class Run:
     """One system's ranked document lists, keyed by topic: ``columns`` already
-    in canonical order, whose arrays are made read-only."""
+    in canonical order, whose arrays are made read-only; empty ones are dropped."""
 
     __slots__ = ("system_id", "columns")
 
     def __init__(self, system_id: str, columns: Mapping[str, RunColumns]):
         self.system_id = system_id
-        self.columns: dict[str, RunColumns] = dict(columns)
+        self.columns: dict[str, RunColumns] = {t: c for t, c in columns.items() if len(c.codes)}
         for c in self.columns.values():
             for array in (c.codes, c.scores, c.rank_fields):
                 array.flags.writeable = False
@@ -814,7 +814,8 @@ def format_run(run: Run) -> str:
     """Serialize a Run in 6-column format, preserving scores and rank fields.
 
     Re-parsing the result under the same ordering policy yields an identical
-    Run (canonical order is a fixed point; ``repr`` round-trips the scores).
+    Run (canonical order is a fixed point; ``repr`` round-trips the scores;
+    a Run has no empty ranking to lose).
     """
     out: list[str] = []
     for topic in run.topics:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rareval.cli
+import rareval.rarity
 import rareval.stats
 import rareval.trec_io
 from rareval import (
@@ -645,6 +646,34 @@ class TestTrajectoryCommand:
         code, json_out, _ = run_cli(argv + ["--json"], capsys)
         payload = json.loads(json_out)
         assert set(payload["d_star"]) == {"0.0", "1.0"}
+
+
+class TestNoCommandBuildsAnIndex:
+    COMMANDS = (
+        "eval --metric P@5_rareness --metric AP_rareness --per-topic",
+        "compare", "discpower", "stability --trials 20", "subset --sizes 2,4 --trials 10",
+        "report", "report --topic t000 --rarity revised --rarity-depth 3 --json",
+        "trajectory --kind rare --topic t000 --d-max 2",
+        "trajectory --kind common --topic t000 --d-max 2",
+        "trajectory --kind common --topic t000 --d-max 2 --rarity-depth 5 --multi-topic",
+    )
+
+    def test_every_command_exits_0_with_the_builder_refusing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # discpower needs two topics, so the campaign is synth's rather than the toy's.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command built a rarity index")
+
+        # Patching the class too catches a copy of the builder imported by name.
+        monkeypatch.setattr(rareval.rarity, "build_rarity_index", refuse)
+        monkeypatch.setattr(rareval.rarity, "RarityIndex", refuse)
+        out = tmp_path / "synth"
+        assert dispatch(["synth", "--systems", "4", "--topics", "2", "--relevant", "4",
+                         "--pool", "12", "--depth", "6", "--out", str(out)]) == 0
+        inputs = ["--runs", *map(str, sorted(out.glob("*.run"))),
+                  "--qrels", str(out / "qrels.txt"), "--cutoff", "5"]
+        for command in self.COMMANDS:
+            assert run_cli([*command.split(), *inputs], capsys)[0] == 0, command
 
 
 class TestDiscpowerCommand:

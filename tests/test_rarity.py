@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareval import (
     Campaign,
@@ -9,13 +11,15 @@ from rareval import (
     build_rarity_index,
     extend_index,
     generate_campaign,
+    make_common_system,
     rareness,
     rareness_revised,
     rarity_report,
 )
 from rareval.errors import DataError
 
-from conftest import make_run
+import oracles
+from conftest import make_run, tiny_campaigns
 
 
 class TestBuildIndex:
@@ -114,8 +118,7 @@ class TestRarityGridProperties:
 
 class TestRarityReport:
     def test_toy4_eq2(self, toy4):
-        index = build_rarity_index(toy4)
-        rows = rarity_report(toy4, index, "t1")
+        rows = rarity_report(toy4, "t1")
         assert [(r.doc, r.rarity) for r in rows] == [
             ("d3", 0.75),
             ("d2", 0.5),
@@ -124,8 +127,7 @@ class TestRarityReport:
         assert [r.retrievers for r in rows] == [1, 2, 4]
 
     def test_revised_variant(self, toy4):
-        index = build_rarity_index(toy4)
-        rows = rarity_report(toy4, index, "t1", variant="revised")
+        rows = rarity_report(toy4, "t1", variant="revised")
         assert rows[0].doc == "d3"
         assert rows[0].rarity == 1.0
 
@@ -133,17 +135,40 @@ class TestRarityReport:
         campaign = Campaign(
             [make_run("A", {"t1": ["d9"]})], Qrels({"t1": {"d1": 1}})
         )
-        index = build_rarity_index(campaign)
-        assert rarity_report(campaign, index, "t1") == []
+        assert rarity_report(campaign, "t1") == []
 
     def test_unknown_topic(self, toy4):
         with pytest.raises(DataError, match="not judged"):
-            rarity_report(toy4, build_rarity_index(toy4), "t99")
+            rarity_report(toy4, "t99")
 
     def test_ties_sorted_by_doc_id(self):
         campaign = Campaign(
             [make_run("A", {"t1": ["x", "y"]}), make_run("B", {"t1": ["z"]})],
             Qrels({"t1": {"x": 1, "y": 1, "z": 1}}),
         )
-        rows = rarity_report(campaign, build_rarity_index(campaign), "t1")
+        rows = rarity_report(campaign, "t1")
         assert [r.doc for r in rows] == ["x", "y", "z"]
+
+
+class TestRelevantCounts:
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(campaign=tiny_campaigns(), count_depth=st.sampled_from([None, 1, 3]))
+    def test_report_and_common_probe_count_like_the_oracle(self, campaign, count_depth):
+        runs_docs, _ = oracles.campaign_to_plain(campaign)
+        index = build_rarity_index(campaign, count_depth)
+        for topic in campaign.judged_topics:
+            expected = {}  # the relevant docs some system retrieves, and how many do
+            for doc in campaign.qrels.relevant(topic):
+                n = oracles.naive_count_retrievers(runs_docs, topic, doc, count_depth)
+                assert index.count(topic, doc) == n
+                if n:
+                    expected[doc] = n
+            rows = rarity_report(campaign, topic, count_depth=count_depth)
+            assert len(rows) == len(expected)
+            assert {row.doc: row.retrievers for row in rows} == expected
+            order = sorted(expected, key=lambda doc: (-expected[doc], doc))
+            if order:
+                probe = make_common_system(campaign, topic, len(order), count_depth=count_depth)
+                assert probe.docs(topic) == tuple(order)
+            with pytest.raises(DataError, match=f"only {len(order)} relevant retrieved"):
+                make_common_system(campaign, topic, len(order) + 1, count_depth=count_depth)

@@ -313,9 +313,8 @@ class TestRankTrajectory:
 
 def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *,
                              multi_topic, rarity_depth):
-    """Ranks from a fresh probe, campaign, index and evaluation per (alpha, D)."""
+    """Ranks from a fresh probe, campaign and evaluation per (alpha, D)."""
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
-    base_index = build_rarity_index(base, rarity_depth)
     kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
     out = []
     for alpha in alphas:
@@ -326,7 +325,7 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *,
                 run, qrels = make_rare_system(base, topic, d)
                 extended = Campaign(base.runs + [run], qrels)
             else:
-                run = make_common_system(base, topic, d, index=base_index)
+                run = make_common_system(base, topic, d, count_depth=rarity_depth)
                 extended = Campaign(base.runs + [run], base.qrels)
             matrix = evaluate_campaign(extended, [spec], rarity_depth=rarity_depth)[0]
             ranks.append((d, rank_systems(mean_scores(matrix)).rank_of(run.system_id)))

@@ -21,6 +21,7 @@ from rareval import (
     ParseError,
     Qrels,
     RunEntry,
+    build_rarity_index,
     format_qrels,
     format_run,
     load_campaign,
@@ -316,6 +317,24 @@ class TestRoundTrip:
         for topic, columns in run.columns.items():  # bitwise, so -0.0 stays -0.0
             assert again.columns[topic].scores.tobytes() == columns.scores.tobytes()
         assert format_run(again) == written
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(per_topic=st.dictionaries(
+        st.sampled_from(["t1", "t2", "t3"]),
+        st.lists(st.sampled_from(["d1", "d2", "d3", "d4"]), max_size=4, unique=True),
+    ))
+    @example(per_topic={"t1": ["d1"], "t2": []})
+    def test_a_run_drops_its_empty_rankings_and_round_trips(self, per_topic):
+        run = make_run("A", per_topic)
+        ranked = sorted(topic for topic, docs in per_topic.items() if docs)
+        assert run.topics == tuple(ranked)
+        campaign = Campaign([run], Qrels({}))
+        assert campaign.unjudged_topics == frozenset(ranked)
+        assert sorted(build_rarity_index(campaign).counts) == ranked
+        if ranked:
+            assert parse_run_file(io.StringIO(format_run(run))) == run
+        else:  # an empty file, which the parser rejects
+            assert format_run(run) == ""
 
     def test_parse_format_parse_is_identity(self):
         text = (

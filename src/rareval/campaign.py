@@ -15,8 +15,8 @@ relevant codes, and its grid is ``rarity.retrieval_grid`` of each row's codes
 through a code-to-column array, with no per-document Python loop.
 ``evaluate_campaign`` scores all its specs and rows with one, built at the
 deepest spec's depth; the subset experiment (``stats``) and the probe
-trajectory (``synth``) score row subsets. All agree bit for bit, and none
-builds a rarity index.
+trajectory (``synth``) score blocks of row subsets. All agree bit for bit,
+and none builds a rarity index.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ class _SubsetScorer:
             is_relevant[relevant] = False
         # The AP family averages over the topics with relevant documents only.
         self.kept = [i for i, n in enumerate(self.n_rel) if n or not spec.is_ap_family]
+        self.width = max(table.ranks.shape[1] for table in self.tables)
 
     @cached_property
     def incidence(self) -> list[np.ndarray]:
@@ -129,12 +130,20 @@ class _SubsetScorer:
             column[table.codes] = -1
         return grids
 
-    def scores(self, rows: np.ndarray, spec: MetricSpec):
+    def scores(self, rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
         """The ``rows`` x judged-topics scores of ``spec`` (no deeper than the
         constructor's; deeper hits become padding, trailing 0.0 gains as hits
-        are in rank order), with rarity counted over just ``rows``."""
+        are in rank order), with rarity counted over just ``rows``.
+
+        ``rows`` may be a block of row sets (sets x rows, scored into sets x
+        rows x topics). A hit none of its set's rows retrieved within the count
+        depth raises ``UndefinedRarityError``, or in a block scores NaN.
+        """
+        rows = np.asarray(rows)
+        block = np.atleast_2d(rows)
+        n_sets, n_rows = block.shape
         bound = metric_bound(spec, self.ap_depth)
-        values = np.zeros((len(rows), len(self.topics)))
+        values = np.zeros((n_sets, n_rows, len(self.topics)))
         for ti, (topic, table) in enumerate(zip(self.topics, self.tables)):
             ranks, hit, any_hit = table.ranks, table.hit, bool(table.docs)
             if bound != self.bound:
@@ -142,28 +151,52 @@ class _SubsetScorer:
                 ranks, any_hit = np.where(hit, ranks, np.inf), hit.any()
             if not any_hit:
                 continue  # nothing hit within the spec's depth scores exactly 0
-            columns, ranks, hit = table.columns[rows], ranks[rows], hit[rows]
+            columns, ranks, hit = table.columns[block], ranks[block], hit[block]
+            width = ranks.shape[-1]
             rarity = None
             if spec.needs_rarity:
-                counts = self.incidence[ti][rows].sum(axis=0)
-                uncounted = columns[hit][counts[columns[hit]] < 1]
-                if uncounted.size:
-                    raise UndefinedRarityError(
-                        f"no scored system retrieved {table.docs[uncounted[0]]!r} for "
-                        f"topic {topic!r} within count depth {self.rarity_depth}"
-                    )
-                rarity = rarity_of_counts(counts, len(rows), spec.config.rarity_variant)[columns]
-            values[:, ti] = score_hits(spec, ranks, hit, rarity, self.n_rel[ti])
-        return values
+                counts = self.incidence[ti][block].sum(axis=1)  # sets x hit docs
+                if rows.ndim == 1:
+                    hits = columns[hit]
+                    uncounted = hits[counts[0, hits] < 1]
+                    if uncounted.size:
+                        raise UndefinedRarityError(
+                            f"no scored system retrieved {table.docs[uncounted[0]]!r} for "
+                            f"topic {topic!r} within count depth {self.rarity_depth}"
+                        )
+                by_doc = rarity_of_counts(counts, n_rows, spec.config.rarity_variant)
+                if rows.ndim > 1:  # each set's own docs, NaN where none of its rows counts one
+                    by_doc[counts < 1] = np.nan
+                    columns = columns + (np.arange(n_sets) * counts.shape[1])[:, None, None]
+                rarity = by_doc.ravel()[columns.reshape(-1, width)]
+            values[..., ti] = score_hits(
+                spec, ranks.reshape(-1, width), hit.reshape(-1, width), rarity, self.n_rel[ti]
+            ).reshape(n_sets, n_rows)
+        return values if rows.ndim > 1 else values[0]
 
-    def subset_means(self, subset: np.ndarray, spec: MetricSpec | None = None) -> np.ndarray:
-        """Per-system mean scores when only ``subset`` participates.
+    def subset_means(self, rows: np.ndarray, spec: MetricSpec | None = None) -> np.ndarray:
+        """Per-system mean scores when only ``rows`` participate: one row set,
+        or a block of them (sets x rows) as ``scores`` takes.
 
         ``spec`` defaults to the constructor's; another must be no deeper and
         in the same family, since ``kept`` was chosen for the constructor's.
         """
         spec = self.spec if spec is None else spec
-        return topic_means(self.scores(subset, spec)[:, self.kept])
+        if not self.kept:
+            raise DataError(f"every topic is skipped for {spec.descriptor}; nothing to average")
+        return topic_means(self.scores(rows, spec)[..., self.kept])
+
+
+# Row-slots (rows x hit-table width) of one scorer call on a block of row
+# sets: bounds its temporaries at a few MB whatever the block's size.
+_BLOCK_SLOTS = 1 << 15
+
+
+def _blocks(count: int, cells_each: int, budget: int):
+    """Slices of ``count`` items in order, each of at most ``budget`` cells
+    at ``cells_each`` cells an item, and of one item at least."""
+    step = max(1, budget // max(cells_each, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def evaluate_campaign(
@@ -194,12 +227,12 @@ def evaluate_campaign(
 
 
 def topic_means(values: np.ndarray) -> np.ndarray:
-    """Row means of a systems x topics array, adding the topics in order.
+    """Means over the last axis (topics) of scores, adding the topics in order.
 
-    Column-major layout makes numpy sum each row topic by topic; the subset
-    scorer averages here too, so its means equal ``mean_scores`` bit for bit.
+    Laid out topic-major, numpy sums topic by topic (a lone row pairwise); the
+    subset scorer averages here too, so its means equal ``mean_scores``.
     """
-    return np.asfortranarray(values).mean(axis=1)
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0)).mean(axis=0)
 
 
 def mean_scores(matrix: ScoreMatrix) -> dict[str, float]:

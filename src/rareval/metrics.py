@@ -94,8 +94,8 @@ def score_hits(
 
     ``ranks`` and ``hit`` are as in ``HitTable``, ``rarity`` is each hit's
     rarity (``None`` for the base kinds) and ``n_relevant`` the AP denominator.
-    Padding gains are exactly 0.0, and the row-wise ``cumsum`` adds gains in
-    rank order, as a per-document loop would.
+    Padding gains are exactly 0.0, and every sum adds gains in rank order,
+    as a per-document loop would.
     """
     alpha = spec.config.alpha
     if not spec.needs_rarity:
@@ -104,10 +104,17 @@ def score_hits(
         gains = np.where(hit, (1.0 - alpha) + alpha * rarity, 0.0)
     else:
         gains = np.where(hit, 1.0 + alpha * rarity, 0.0)
-    running = np.cumsum(gains, axis=1)
     if spec.is_ap_family:
-        return np.cumsum(running / ranks, axis=1)[:, -1] / n_relevant
-    return running[:, -1] / spec.config.cutoff
+        return _sums_in_order(np.cumsum(gains, axis=1) / ranks) / n_relevant
+    return _sums_in_order(gains) / spec.config.cutoff
+
+
+def _sums_in_order(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms`` added left to right, as its ``cumsum`` does:
+    laid out column-major, numpy sums many rows a column at a time."""
+    if len(terms) == 1:
+        return np.cumsum(terms, axis=1)[:, -1]
+    return np.ascontiguousarray(terms.T).sum(axis=0)
 
 
 @dataclass(frozen=True)

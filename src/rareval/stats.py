@@ -20,7 +20,9 @@ four such draw arrays, read-only, each trials x sample size bytes (two bytes
 an index above 256 topics), so metrics over the same topics share them. It
 scores each distinct draw once, over blocks of draws sized to a few MB, and
 counts wins as integers, so its results equal the one-trial-at-a-time loop
-bit for bit. Subset trials run one at a time. Nothing runs in threads.
+bit for bit. Subset trials are scored in blocks too, and give the draws,
+resamples, errors and results of the one-trial-at-a-time loop. A run takes
+at most ``TRIAL_CELLS`` trial cells. Nothing runs in threads.
 
 The HSD critical value comes from the studentized-range distribution: its
 CDF is the Copenhaver & Holland (1988) double integral, both integrals on
@@ -45,7 +47,8 @@ from typing import Literal
 
 import numpy as np
 
-from .campaign import ScoreMatrix, SystemRanking, _SubsetScorer, evaluate_campaign
+from .campaign import _BLOCK_SLOTS, ScoreMatrix, SystemRanking, _blocks, _SubsetScorer
+from .campaign import evaluate_campaign
 from .errors import ConfigError, DataError
 from .metrics import MetricSpec
 from .rarity import is_depth
@@ -60,42 +63,55 @@ _VARIANCE_EPS = 1e-12
 _STREAM_STABILITY = 101
 _STREAM_SUBSET = 102
 
+# Trial cells (trials x topics or systems drawn) a stability or subset run
+# may take: 100 times 20 000 stability trials of 50 topics each.
+TRIAL_CELLS = 10**8
+
+
+def _check_trial_cells(trials: int, size: int, size_name: str) -> None:
+    if trials * size > TRIAL_CELLS:
+        budget = f"exceeds the budget of {TRIAL_CELLS} trial cells"
+        raise ConfigError(f"trial count {trials} x {size_name} {size} {budget}")
+
 
 # --- rank correlation ---------------------------------------------------------
 
-# Cells of the pairwise sign matrices tau-b builds per block of rows; bounds
+# Cells of the pairwise sign matrices tau-b builds per block of pairs; bounds
 # its memory at a few MB whatever the number of systems.
 _TAU_BLOCK_CELLS = 1 << 18
 
 
-def _tau_b(x, y) -> float:
-    """Kendall's tau-b of two equal-length vectors; NaN if a side is fully tied.
+def _tau_b(x, y):
+    """Kendall's tau-b of two equal-length vectors, or of each row of ``x``
+    with the same row of ``y`` (rows x values); NaN where a side is fully tied.
 
     Concordant-minus-discordant and the tie counts are exact integers, and
     the final expression and clamp are scipy's ``kendalltau(variant="b")``,
-    so the result equals scipy's bit for bit.
+    so each result equals scipy's bit for bit.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    n = x.size
+    one = np.ndim(x) == 1
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    n = x.shape[1]
     tot = n * (n - 1) // 2
     # Over ordered pairs (i, j), i == j included: each unordered pair counts
     # twice and the diagonal adds n zero signs.
     signed = x_zero = y_zero = 0
-    step = max(1, _TAU_BLOCK_CELLS // max(n, 1))
+    step = max(1, _TAU_BLOCK_CELLS // max(x.size, 1))
     for start in range(0, n, step):
-        sx = np.sign(x[start : start + step, None] - x[None, :])
-        sy = np.sign(y[start : start + step, None] - y[None, :])
-        signed += int((sx * sy).sum())
-        x_zero += int(np.count_nonzero(sx == 0))
-        y_zero += int(np.count_nonzero(sy == 0))
+        sx = np.sign(x[:, start : start + step, None] - x[:, None, :])
+        sy = np.sign(y[:, start : start + step, None] - y[:, None, :])
+        signed = signed + (sx * sy).sum(axis=(1, 2)).astype(np.int64)
+        x_zero = x_zero + np.count_nonzero(sx == 0, axis=(1, 2))
+        y_zero = y_zero + np.count_nonzero(sy == 0, axis=(1, 2))
     con_minus_dis = signed // 2
     xtie = (x_zero - n) // 2
     ytie = (y_zero - n) // 2
-    if xtie == tot or ytie == tot:
-        return math.nan
-    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
-    return float(np.minimum(1.0, max(-1.0, tau)))
+    tied = (xtie == tot) | (ytie == tot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    tau = np.where(tied, np.nan, np.minimum(1.0, np.maximum(-1.0, tau)))
+    return float(tau[0]) if one else tau
 
 
 # perfbench/traced.py wraps tau-b under this name to time it as stats.tau.
@@ -469,6 +485,7 @@ class StabilityConfig:
             raise ConfigError(f"sample size must be an integer >= 1, got {self.sample_size!r}")
         if not is_depth(self.trials):
             raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
+        _check_trial_cells(self.trials, self.sample_size, "sample size")
         check_seed(self.seed)
 
 
@@ -547,12 +564,12 @@ def stability(
     first, second = np.triu_indices(n_systems, 1)  # the pairs i < j, row-major
     greater = np.zeros(first.size, dtype=np.int64)
     equal = np.zeros(first.size, dtype=np.int64)
-    step = max(1, _STABILITY_BLOCK_CELLS // max(n_systems * config.sample_size, first.size))
-    for start in range(0, len(samples), step):
+    cells = max(n_systems * config.sample_size, first.size)
+    for block in _blocks(len(samples), cells, _STABILITY_BLOCK_CELLS):
         # The same contiguous pairwise sum per sample as values[:, idx].mean(axis=1).
-        means = values[:, samples[start : start + step]].mean(axis=-1)
+        means = values[:, samples[block]].mean(axis=-1)
         diff = means[first] - means[second]
-        weight = repeats[start : start + step]
+        weight = repeats[block]
         greater += (diff > 0) @ weight
         equal += (diff == 0) @ weight
     wins = greater + 0.5 * equal  # exact: every term is a multiple of 0.5
@@ -590,6 +607,7 @@ class SubsetExperimentConfig:
             raise ConfigError(f"subset size must be an integer >= 2, got {self.subset_size!r}")
         if not is_depth(self.trials):
             raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
+        _check_trial_cells(self.trials, self.subset_size, "subset size")
         check_seed(self.seed)
 
 
@@ -603,6 +621,10 @@ class SubsetResult:
 
 
 _MAX_RESAMPLE_ATTEMPTS = 100
+
+# The last call's (campaign, spec, depths), scorer and full means: the CLI
+# makes one call per size with the same objects.
+_last_reference: list = [(None,) * 4, None, None]
 
 
 def subset_experiment(
@@ -619,41 +641,55 @@ def subset_experiment(
     those systems, re-rank them, and correlate against the same systems'
     ordering in the full ranking. Trials whose tau is undefined (a fully
     tied side) are resampled from a fresh substream; the resample count is
-    reported.
+    reported. Each attempt scores the trials still open, in blocks.
     """
     n_systems = len(campaign.runs)
     if config.subset_size > n_systems:
         raise DataError(
             f"subset size {config.subset_size} exceeds the {n_systems} systems"
         )
-    scorer = _SubsetScorer(
-        campaign, spec, rarity_depth=rarity_depth, ap_depth=ap_depth
-    )
-    # The full-campaign reference ranking uses this same code path, so a
-    # full-size subset reproduces it bit-for-bit (tau is then exactly 1).
-    full_means = scorer.subset_means(np.arange(n_systems))
+    key = (campaign, spec, rarity_depth, ap_depth)
+    if any(a is not b for a, b in zip(key, _last_reference[0])):
+        scorer = _SubsetScorer(campaign, spec, rarity_depth=rarity_depth, ap_depth=ap_depth)
+        # The full-campaign reference ranking uses this same code path, so a
+        # full-size subset reproduces it bit-for-bit (tau is then exactly 1).
+        _last_reference[:] = [key, scorer, scorer.subset_means(np.arange(n_systems))]
+    scorer, full_means = _last_reference[1:]
     n = config.subset_size
 
-    def run_trial(trial: int) -> tuple[float, int]:
-        for attempt in range(_MAX_RESAMPLE_ATTEMPTS):
-            rng = substream(config.seed, _STREAM_SUBSET, trial, attempt)
-            subset = np.sort(rng.choice(n_systems, size=n, replace=False))
-            sub_means = scorer.subset_means(subset)
-            reference = full_means[subset]
-            if len(set(reference)) == 1 or len(set(sub_means)) == 1:
-                continue  # tau undefined on a fully tied side; resample
-            if np.array_equal(reference, sub_means):
-                return 1.0, attempt
-            # By its global name, so the benchmark's tracer can time it.
-            tau = _scipy_kendalltau(reference, sub_means)
-            if not math.isnan(tau):
-                return tau, attempt
+    def draw(trial: int, attempt: int) -> np.ndarray:
+        rng = substream(config.seed, _STREAM_SUBSET, trial, attempt)
+        return np.sort(rng.choice(n_systems, size=n, replace=False))
+
+    taus = np.full(config.trials, np.nan)
+    attempts = np.zeros(config.trials, dtype=np.int64)
+    undefined = np.zeros(config.trials, dtype=bool)  # a rarity no row of the draw counts
+    open_trials = np.arange(config.trials)
+    for attempt in range(_MAX_RESAMPLE_ATTEMPTS):
+        for block in _blocks(open_trials.size, n * max(scorer.width, n), _BLOCK_SLOTS):
+            trials = open_trials[block]
+            subsets = np.array([draw(trial, attempt) for trial in trials.tolist()])
+            means = scorer.subset_means(subsets)
+            reference = full_means[subsets]
+            undefined[trials] = np.isnan(means).any(axis=1)
+            tied = undefined[trials] | (reference == reference[:, :1]).all(axis=1)
+            tied |= (means == means[:, :1]).all(axis=1)
+            taus[trials[~tied & (reference == means).all(axis=1)]] = 1.0
+            live = ~tied & (reference != means).any(axis=1)
+            if live.any():
+                # By its global name, so the benchmark's tracer can time it.
+                taus[trials[live]] = _scipy_kendalltau(reference[live], means[live])
+            attempts[trials] = attempt
+        open_trials = open_trials[np.isnan(taus[open_trials]) & ~undefined[open_trials]]
+        if not open_trials.size:
+            break
+    failed = np.flatnonzero(np.isnan(taus))
+    if failed.size and undefined[failed[0]]:  # scored alone, the draw raises
+        scorer.subset_means(draw(int(failed[0]), int(attempts[failed[0]])))
+    if failed.size:
         raise DataError(
             f"tau undefined in {_MAX_RESAMPLE_ATTEMPTS} consecutive resamples; "
             "the campaign is too degenerate for this experiment"
         )
-
-    trials = [run_trial(trial) for trial in range(config.trials)]
-    mean_tau = sum(tau for tau, _ in trials) / config.trials
-    resamples = sum(attempts for _, attempts in trials)
-    return SubsetResult(spec.descriptor, n, float(mean_tau), config.trials, resamples)
+    mean_tau = sum(taus.tolist()) / config.trials
+    return SubsetResult(spec.descriptor, n, float(mean_tau), config.trials, int(attempts.sum()))

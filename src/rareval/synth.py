@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .campaign import _midranks, _SubsetScorer
+from .campaign import _BLOCK_SLOTS, _blocks, _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
 from .rarity import is_depth, relevant_counts
@@ -251,7 +251,8 @@ def rank_trajectory(
     The probe is built once, at ``d_max``, and probe D is its first D
     documents: step D scores the base systems plus probe D's row with one
     subset scorer shared by every alpha, over the same S+1 systems a rebuilt
-    campaign would have. The probe is named ``hyp-<kind>``.
+    campaign would have, an alpha's steps in one block of row sets. The probe
+    is named ``hyp-<kind>``.
     """
     if kind not in ("rare", "common"):
         raise ConfigError(f"unknown probe kind {kind!r} (expected 'rare' or 'common')")
@@ -283,13 +284,15 @@ def rank_trajectory(
     stacked = Campaign(base.runs + probes, qrels)
     row = {system: i for i, system in enumerate(stacked.system_ids)}
     base_rows = [row[system] for system in base.system_ids]
+    steps = np.array([base_rows + [row[run.system_id]] for run in probes])  # probe D last
     scorer = _SubsetScorer(stacked, specs[0], rarity_depth=rarity_depth, ap_depth="cutoff")
+    blocks = list(_blocks(d_max, steps.shape[1] * scorer.width, _BLOCK_SLOTS))
     results = []
     for spec in specs:
-        ranks = []
-        for d, run in enumerate(probes, 1):
-            means = scorer.subset_means(np.array(base_rows + [row[run.system_id]]), spec)
-            ranks.append((d, float(_midranks(-means)[-1])))  # the probe is the last row
+        means = np.concatenate([scorer.subset_means(steps[block], spec) for block in blocks])
+        if np.isnan(means).any():  # a step with an undefined rarity raises alone
+            scorer.subset_means(steps[np.isnan(means).any(axis=1).argmax()], spec)
+        ranks = [(d, float(_midranks(-m)[-1])) for d, m in enumerate(means, 1)]
         d_star = next((d for d, r in ranks if r == 1.0), None)
         results.append(TrajectoryResult(spec.config.alpha, ranks, d_star))
     return results

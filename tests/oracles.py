@@ -12,6 +12,11 @@ without parsing.
 
 The studentized-range references are the package's former scipy-based CDF and
 bisection quantile, kept unchanged with their own copy of the rule constants.
+
+``loop_subset_experiment`` is the subset experiment's former per-trial loop:
+its draws, resampling and tau are its own, and it scores each row set
+through a callable the caller passes, such as the package scorer's one-set
+path.
 """
 
 import math
@@ -195,6 +200,37 @@ def naive_stability(values, sample_size, trials, seed, direction="winner"):
                 score = (trials - w) / trials
             per_pair[(i, j)] = float(score)
     return per_pair, float(np.mean(list(per_pair.values())))
+
+
+def loop_subset_experiment(subset_means, n_systems, subset_size, trials, seed):
+    """The subset-of-systems protocol, one trial and one attempt at a time.
+
+    ``subset_means(rows)`` gives the mean scores of one sorted row set, with
+    rarity counted over it, or raises. Attempt ``a`` of trial ``t`` draws from
+    numpy's generator seeded by ``(seed, 102, t, a)``; an attempt with a fully
+    tied side is redrawn, 100 at most. Tau-b is scipy's. Returns the mean tau
+    and the number of redraws.
+    """
+    from scipy.stats import kendalltau
+
+    from rareval.errors import DataError
+
+    full_means = subset_means(np.arange(n_systems))
+    taus, resamples = [], 0
+    for trial in range(trials):
+        for attempt in range(100):
+            rng = np.random.default_rng((seed, 102, trial, attempt))
+            subset = np.sort(rng.choice(n_systems, size=subset_size, replace=False))
+            means, reference = subset_means(subset).tolist(), full_means[subset].tolist()
+            if len(set(reference)) > 1 and len(set(means)) > 1:
+                same = reference == means
+                taus.append(1.0 if same else float(kendalltau(reference, means).statistic))
+                resamples += attempt
+                break
+        else:
+            raise DataError("tau undefined in 100 consecutive resamples; "
+                            "the campaign is too degenerate for this experiment")
+    return sum(taus) / trials, resamples
 
 
 def canonical_order(entries, order):

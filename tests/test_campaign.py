@@ -250,6 +250,74 @@ class TestOneScorerProperties:
                 assert fast == outcome(lambda: evaluated(rows))
 
 
+class TestBlocksOfRowSets:
+    """A block of row sets scores and averages each set as it alone would."""
+
+    @pytest.mark.parametrize("kind", ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"])
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        rarity_depth=st.sampled_from([None, 1, 2, 3]),
+        ap_depth=st.sampled_from(["cutoff", None]),
+        data=st.data(),
+    )
+    def test_each_set_of_a_block_scores_as_it_alone(
+        self, kind, campaign, rarity_depth, ap_depth, data
+    ):
+        spec = data.draw(metric_specs(kind))
+        scorer = _SubsetScorer(campaign, spec, rarity_depth=rarity_depth, ap_depth=ap_depth)
+        n = campaign.n_systems
+        assume(n >= 2)
+        size = data.draw(st.integers(2, n))  # a lone row's mean is summed pairwise
+        one_set = st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
+        sets = np.array(data.draw(st.lists(one_set.map(sorted), min_size=1, max_size=5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # revised rarity over a single row
+            block = scorer.scores(sets, spec)
+            means = scorer.subset_means(sets) if scorer.kept else None
+            for i, rows in enumerate(sets):
+                try:
+                    alone = scorer.scores(rows, spec)
+                except UndefinedRarityError:
+                    assert np.isnan(block[i]).any()
+                    assert means is None or np.isnan(means[i]).any()
+                    continue
+                assert block[i].tobytes() == alone.tobytes()
+                if means is not None:
+                    assert means[i].tobytes() == scorer.subset_means(rows).tobytes()
+
+    def test_topic_means_add_the_topics_in_order_for_one_set_or_a_block(self):
+        # 1e16 swallows a 1.0 added to it, so the order of the additions
+        # shows in the sum: numpy's own pairwise sum of a row differs.
+        grid = np.random.default_rng(4).choice([1e16, -1e16, 1.0, 3.0], size=(3, 4, 20))
+        in_order = np.zeros((3, 4))
+        for t in range(20):
+            in_order += grid[..., t]
+        assert (grid.sum(axis=-1) != in_order).any()
+        means = rareval.campaign.topic_means(grid)
+        assert means.tobytes() == (in_order / 20).tobytes()
+        for i, values in enumerate(grid):
+            assert rareval.campaign.topic_means(values).tobytes() == means[i].tobytes()
+
+    def test_block_means_are_topic_means_of_each_sets_scores(self):
+        # Twenty topics: enough for numpy's pairwise sum to order additions
+        # differently from a topic-by-topic one.
+        campaign = generate_campaign(
+            SynthSpec(6, 20, 6, 60, overlap_bias=0.5, run_depth=12, seed=8)
+        )
+        spec = MetricSpec.parse("P@10_rareness(alpha=0.7,rarity=revised)")
+        scorer = _SubsetScorer(campaign, spec, rarity_depth=None, ap_depth="cutoff")
+        sets = np.array([[0, 1, 2], [1, 3, 5], [0, 4, 5], [2, 3, 4]])
+        means = scorer.subset_means(sets)
+        for rows, mean in zip(sets, means):
+            values = scorer.scores(rows, spec)
+            in_order = np.zeros(len(rows))
+            for column in values.T:
+                in_order += column
+            assert mean.tobytes() == rareval.campaign.topic_means(values).tobytes()
+            assert mean.tobytes() == (in_order / values.shape[1]).tobytes()
+
+
 KINDS = ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"]
 
 

@@ -413,6 +413,41 @@ class TestThreadsEnvironment:
         assert run_cli(argv, capsys) == expected
 
 
+def _address_space_limit():
+    """Cap a child's address space at 2 GiB: a budget that failed to hold
+    would end in a MemoryError, not in an exhausted host."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestTrialCellBudget:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["stability", "--trials", str(2**64)], f"trial count {2**64} x sample size 1"),
+            (["stability", "--sample-size", str(2**64), "--trials", "1"],
+             f"trial count 1 x sample size {2**64}"),
+            (["subset", "--sizes", "2", "--trials", str(2**64)],
+             f"trial count {2**64} x subset size 2"),
+            (["subset", "--sizes", str(2**64)], f"trial count 1000 x subset size {2**64}"),
+        ],
+        ids=["stability-trials", "stability-sample-size", "subset-trials", "subset-sizes"],
+    )
+    def test_a_count_past_the_budget_exits_2_with_one_error_line(self, toy_files, argv, field):
+        runs, qrels = toy_files
+        result = subprocess.run(
+            [sys.executable, "-m", "rareval", *argv, "--runs", *runs, "--qrels", qrels,
+             "--cutoff", "3", "--metric", "P@3"],
+            capture_output=True, text=True, timeout=60, preexec_fn=_address_space_limit,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {field} exceeds the budget of {rareval.stats.TRIAL_CELLS} trial cells\n"
+        )
+
+
 class TestSubsetCommand:
     @pytest.mark.parametrize("sizes, token", [("a", "'a'"), ("", "''"), ("2,,4", "''")])
     def test_bad_sizes_exit_2_naming_the_token(self, toy_files, capsys, sizes, token):

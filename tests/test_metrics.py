@@ -486,3 +486,36 @@ class TestMetricSpecParsing:
         assert base.descriptor == "P@5"
         assert (weighted.config.alpha, weighted.config.rarity_variant) == (0.25, "revised")
         assert MetricSpec.parse("P@5()") == MetricSpec.parse("P@5")
+
+
+class TestScoreHitsSumsInRankOrder:
+    """Each row's sums add its gains in rank order, whether it is scored alone
+    or with other rows: numpy's pairwise sum of a row would differ."""
+
+    @pytest.mark.parametrize("name", ["P@40_rareness(alpha=1)", "AP_rareness(alpha=1)",
+                                      "P@40_mixture(alpha=0.5)", "P@40", "AP"])
+    def test_rows_alone_and_together_equal_a_rank_order_loop(self, name):
+        from rareval.metrics import score_hits
+
+        spec = MetricSpec.parse(name)
+        rng = np.random.default_rng(11)
+        hit = rng.random((6, 40)) < 0.8
+        hit[0] = True
+        ranks = np.where(hit, np.cumsum(rng.integers(1, 3, (6, 40)), axis=1), np.inf)
+        rarity = rng.choice([1.0, 2.0**-30, 2.0**-52, 1 / 3], size=(6, 40))
+        together = score_hits(spec, ranks, hit, rarity, 50)
+        alpha = spec.config.alpha
+        for i in range(6):
+            alone = score_hits(spec, ranks[i : i + 1], hit[i : i + 1], rarity[i : i + 1], 50)
+            assert alone.tobytes() == together[i : i + 1].tobytes()
+            running = total = 0.0
+            for h, r, rank in zip(hit[i], rarity[i], ranks[i]):
+                gain = 0.0
+                if h and spec.kind == "p_mixture":
+                    gain = (1.0 - alpha) + alpha * r
+                elif h:
+                    gain = 1.0 + alpha * r if spec.needs_rarity else 1.0
+                running += gain
+                total += running / rank if spec.is_ap_family else gain
+            expected = total / 50 if spec.is_ap_family else total / spec.config.cutoff
+            assert together[i] == expected

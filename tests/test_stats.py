@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau as scipy_kendalltau
 from scipy.stats import studentized_range as scipy_sr
@@ -35,6 +35,7 @@ from rareval.rng import MAX_SEED, substream
 from rareval.stats import (
     _STREAM_STABILITY,
     SIGNIFICANCE_LEVELS,
+    TRIAL_CELLS,
     _SubsetScorer,
     _tau_b,
     _trial_samples,
@@ -42,7 +43,7 @@ from rareval.stats import (
 )
 
 import oracles
-from conftest import make_run
+from conftest import make_run, metric_specs, tiny_campaigns
 
 # Upper studentized-range quantiles from standard published tables.
 PUBLISHED_Q = {
@@ -522,6 +523,144 @@ class TestBatchedStability:
             draws[0, 0] = 1
 
 
+def _subset_outcome(run):
+    """``run()``'s (mean tau, resamples) as (hex, int), or its DataError."""
+    try:
+        mean_tau, resamples = run()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return mean_tau.hex(), resamples
+
+
+def _assert_subset_matches_loop(campaign, spec, size, trials, seed, rarity_depth=None):
+    def blocked():
+        config = SubsetExperimentConfig(size, trials=trials, seed=seed)
+        result = subset_experiment(campaign, spec, config, rarity_depth=rarity_depth)
+        assert (result.trials, result.subset_size) == (trials, size)
+        return result.mean_tau, result.resamples
+
+    def loop():
+        scorer = _SubsetScorer(campaign, spec, rarity_depth=rarity_depth, ap_depth="cutoff")
+        return oracles.loop_subset_experiment(
+            scorer.subset_means, campaign.n_systems, size, trials, seed
+        )
+
+    expected = _subset_outcome(loop)
+    assert _subset_outcome(blocked) == expected
+    return expected
+
+
+_KINDS = ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"]
+
+
+def _identical_systems(n: int) -> Campaign:
+    """``n`` systems with the same rankings: every subset is fully tied."""
+    return Campaign(
+        [make_run(f"s{i}", {"t1": ["d1", "d2"], "t2": ["d3"]}) for i in range(n)],
+        Qrels({"t1": {"d1": 1, "d2": 1}, "t2": {"d3": 1, "d4": 1}}),
+    )
+
+
+class TestBatchedSubset:
+    """Blocks of trials give the per-trial loop's result: mean tau to the bit,
+    resample counts, and the first error with its message."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        spec=st.sampled_from(_KINDS).flatmap(metric_specs),
+        data=st.data(),
+        trials=st.integers(1, 25),
+        seed=st.one_of(st.integers(0, 50), st.just(MAX_SEED)),
+        rarity_depth=st.none() | st.integers(1, 4),
+    )
+    def test_equals_the_per_trial_loop(self, campaign, spec, data, trials, seed, rarity_depth):
+        assume(campaign.n_systems >= 2)
+        size = data.draw(st.integers(2, campaign.n_systems))
+        _assert_subset_matches_loop(campaign, spec, size, trials, seed, rarity_depth)
+
+    @pytest.mark.parametrize("name", ["P@30_rareness(alpha=1)", "AP_rareness(alpha=0.5)",
+                                      "P@30_mixture(alpha=0.5,rarity=revised)", "P@10"])
+    @pytest.mark.parametrize("size", [2, 5, 10])
+    def test_equals_the_loop_on_a_generated_campaign(self, hetero_campaign, name, size):
+        spec = MetricSpec.parse(name)
+        mean_tau, resamples = _assert_subset_matches_loop(hetero_campaign, spec, size, 60, 3)
+        assert isinstance(resamples, int)
+
+    def test_resampled_trials_equal_the_loop(self):
+        base = generate_campaign(SynthSpec(2, 3, 8, 120, overlap_bias=0.5, run_depth=15, seed=4))
+        a, b = base.runs
+        twins = [make_run(f"{r.system_id}-twin", {t: list(r.docs(t)) for t in r.rankings})
+                 for r in (a, b)]
+        campaign = Campaign([a, b, *twins], base.qrels)
+        spec = MetricSpec.parse("P@15_rareness(alpha=1)")
+        _, resamples = _assert_subset_matches_loop(campaign, spec, 2, 60, 9)
+        assert resamples > 0
+
+    def test_undefined_rarity_raises_the_loops_error(self, hetero_campaign):
+        spec = MetricSpec.parse("P@20_rareness(alpha=1)")
+        error = _assert_subset_matches_loop(hetero_campaign, spec, 4, 5, 6, rarity_depth=5)
+        assert error[0] is UndefinedRarityError
+        assert error[1].startswith("no scored system retrieved '")
+
+    def test_a_trial_without_a_count_raises_the_loops_error(self):
+        # At count depth 1, A's hit d1 (rank 2) is counted by B alone: the
+        # full campaign scores, and a trial drawing A and C does not.
+        campaign = Campaign(
+            [make_run("A", {"t0": ["d2", "d1"]}), make_run("B", {"t0": ["d1"]}),
+             make_run("C", {"t0": ["d3"]})],
+            Qrels({"t0": {"d1": 1, "d2": 1}}),
+        )
+        spec = MetricSpec.parse("P@2_rareness(alpha=1)")
+        scorer = _SubsetScorer(campaign, spec, rarity_depth=1, ap_depth="cutoff")
+        scorer.subset_means(np.arange(3))
+        error = _assert_subset_matches_loop(campaign, spec, 2, 20, 5, rarity_depth=1)
+        assert error == (
+            UndefinedRarityError,
+            "no scored system retrieved 'd1' for topic 't0' within count depth 1",
+        )
+
+    def test_degenerate_campaign_raises_the_loops_error(self):
+        error = _assert_subset_matches_loop(
+            _identical_systems(3), MetricSpec.parse("P@2"), 2, 4, 1
+        )
+        assert error == (DataError, "tau undefined in 100 consecutive resamples; "
+                                    "the campaign is too degenerate for this experiment")
+
+    @pytest.mark.parametrize("trials_per_block", [1, 3])
+    def test_blocks_of_one_trial_and_a_ragged_last_block(
+        self, hetero_campaign, monkeypatch, trials_per_block
+    ):
+        size, trials = 4, 10  # at three trials a block, the last holds one
+        spec = MetricSpec.parse("AP_rareness(alpha=1)")
+        width = _SubsetScorer(hetero_campaign, spec, rarity_depth=None, ap_depth="cutoff").width
+        slots = trials_per_block * size * max(width, size)
+        monkeypatch.setattr(rareval.stats, "_BLOCK_SLOTS", slots)
+        blocks = []
+        spy = rareval.stats._SubsetScorer.subset_means
+        monkeypatch.setattr(
+            rareval.stats._SubsetScorer, "subset_means",
+            lambda scorer, rows, *a: blocks.append(np.shape(rows)) or spy(scorer, rows, *a),
+        )
+        _assert_subset_matches_loop(hetero_campaign, spec, size, trials, 12)
+        ours = [shape[0] for shape in blocks if len(shape) == 2]
+        assert sum(ours) == trials and max(ours) == trials_per_block
+
+    def test_a_run_of_sizes_builds_one_scorer(self, hetero_campaign, monkeypatch):
+        built = []
+        scorer = rareval.stats._SubsetScorer
+        monkeypatch.setattr(
+            rareval.stats, "_SubsetScorer", lambda *a, **kw: built.append(1) or scorer(*a, **kw)
+        )
+        spec = MetricSpec.parse("P@30_rareness(alpha=1)")
+        for size in (2, 4, 8):
+            subset_experiment(hetero_campaign, spec, SubsetExperimentConfig(size, trials=5))
+        assert len(built) == 1
+        other = MetricSpec.parse("P@30_rareness(alpha=0.5)")
+        subset_experiment(hetero_campaign, other, SubsetExperimentConfig(2, trials=5))
+        assert len(built) == 2
+
+
 class TestSubsetExperiment:
     def test_full_subset_is_exactly_one(self, hetero_campaign):
         spec = MetricSpec.parse("P@30_rareness(alpha=1)")
@@ -744,8 +883,26 @@ def test_numpy_integer_depths_score_as_python_ints(toy4):
          "trial count must be an integer >= 1, got True"),
         (SubsetExperimentConfig, {"subset_size": 2, "seed": -1},
          f"seed must be an integer in 0..{MAX_SEED}, got -1"),
+        (StabilityConfig, {"sample_size": 1, "trials": 2**64},
+         f"trial count {2**64} x sample size 1 exceeds the budget of {TRIAL_CELLS} trial cells"),
+        (StabilityConfig, {"sample_size": 2**64, "trials": 1},
+         f"trial count 1 x sample size {2**64} exceeds the budget of {TRIAL_CELLS} trial cells"),
+        (StabilityConfig, {"sample_size": 2, "trials": TRIAL_CELLS // 2 + 1},
+         f"trial count {TRIAL_CELLS // 2 + 1} x sample size 2 exceeds the budget of "
+         f"{TRIAL_CELLS} trial cells"),
+        (SubsetExperimentConfig, {"subset_size": 2, "trials": 2**64},
+         f"trial count {2**64} x subset size 2 exceeds the budget of {TRIAL_CELLS} trial cells"),
+        (SubsetExperimentConfig, {"subset_size": 2**64, "trials": 1},
+         f"trial count 1 x subset size {2**64} exceeds the budget of {TRIAL_CELLS} trial cells"),
     ],
 )
 def test_config_field_of_the_wrong_type_is_a_config_error_naming_it(config, fields, message):
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         config(**fields)
+
+
+def test_trial_cell_budget_admits_the_protocols_up_to_its_edge():
+    StabilityConfig(50, trials=20_000)
+    SubsetExperimentConfig(100, trials=1000)
+    StabilityConfig(2, trials=TRIAL_CELLS // 2)
+    SubsetExperimentConfig(TRIAL_CELLS, trials=1)

@@ -25,7 +25,7 @@ from rareval import (
     rareness,
 )
 from rareval.cli import dispatch
-from rareval.errors import ConfigError, DataError, FormatError
+from rareval.errors import ConfigError, DataError, FormatError, UndefinedRarityError
 
 import oracles
 from conftest import make_run
@@ -356,6 +356,72 @@ class TestTrajectoryMatchesRebuild:
         assert [r.d_star for r in results] == [
             next((d for d, rank in ranks if rank == 1.0), None) for ranks in expected
         ]
+
+
+class TestTrajectoryBlocks:
+    """An alpha's D steps scored as blocks of row sets rank as one step at a
+    time does, whatever the block size."""
+
+    @pytest.mark.parametrize("steps_per_block", [None, 1, 3])
+    @pytest.mark.parametrize("rarity_depth", [None, 12])
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_ranks_equal_one_step_at_a_time(
+        self, traj_campaign, monkeypatch, kind, rarity_depth, steps_per_block
+    ):
+        import rareval.synth
+
+        topic = traj_campaign.judged_topics[0]
+        config = MetricConfig(cutoff=12)
+        alphas, d_max = [0.0, 0.25, 1.0], 8  # at three steps a block, the last holds two
+        calls = []
+        spy = rareval.synth._SubsetScorer.subset_means
+        monkeypatch.setattr(
+            rareval.synth._SubsetScorer, "subset_means",
+            lambda scorer, rows, *a: calls.append(np.shape(rows)) or spy(scorer, rows, *a),
+        )
+        if steps_per_block is not None:
+            # Step D's rows are the 12 base systems and probe D, and no row
+            # hits more docs than the cutoff.
+            width = config.cutoff
+            monkeypatch.setattr(rareval.synth, "_BLOCK_SLOTS", steps_per_block * 13 * width)
+            monkeypatch.setattr(
+                rareval.synth, "_SubsetScorer", _fixed_width(rareval.synth._SubsetScorer, width)
+            )
+        options = dict(multi_topic=False, rarity_depth=rarity_depth)
+        results = rank_trajectory(traj_campaign, kind, topic, alphas, d_max, config, **options)
+        expected = rebuilt_trajectory_ranks(
+            traj_campaign, kind, topic, alphas, d_max, config, **options
+        )
+        assert [r.ranks for r in results] == expected
+        blocks = [shape[0] for shape in calls]
+        assert sum(blocks) == len(alphas) * d_max
+        if steps_per_block is not None:
+            assert max(blocks) == steps_per_block
+        else:
+            assert blocks == [d_max] * len(alphas)  # each alpha's steps in one call
+
+    def test_an_undefined_rarity_raises_as_its_step_alone(self, traj_campaign):
+        # Probe D's docs are fresh: at D = 5 its last hit lies below count
+        # depth 4, while every base system's hits within P@5 are counted.
+        topic = traj_campaign.judged_topics[1]
+        config = MetricConfig(cutoff=5)
+        options = dict(multi_topic=False, rarity_depth=4)
+        with pytest.raises(UndefinedRarityError) as expected:
+            rebuilt_trajectory_ranks(traj_campaign, "rare", topic, [0.5], 6, config, **options)
+        with pytest.raises(UndefinedRarityError) as raised:
+            rank_trajectory(traj_campaign, "rare", topic, [0.5], 6, config, **options)
+        assert str(raised.value) == str(expected.value)
+        assert "'hyp-rare-0004'" in str(raised.value)
+
+
+def _fixed_width(scorer_class, width):
+    """``scorer_class`` whose instances report ``width`` as their width."""
+    def build(*args, **kwargs):
+        scorer = scorer_class(*args, **kwargs)
+        assert scorer.width <= width
+        scorer.width = width
+        return scorer
+    return build
 
 
 POOL = [f"d{i}" for i in range(8)]

@@ -10,9 +10,9 @@ One scorer, ``_SubsetScorer``, scores rows of a campaign's hit tables with the
 one metric formula, ``metrics.score_hits``, which sums gains in rank order.
 Rarity counts are column sums of its incidence grid over the scored rows.
 It reads rankings as the runs' own codes into the campaign's one code
-space, ``Campaign.vocab``: a topic's hits are a lookup in a mask of its
-relevant codes, and its grid is ``rarity.retrieval_grid`` of each row's codes
-through a code-to-column array, with no per-document Python loop.
+space, ``Campaign.vocab``: a topic's hits are a lookup in a mask of
+``rarity.relevant_codes``, and its grid is ``rarity.retrieval_grid`` of each
+row's codes through a code-to-column array, with no per-document Python loop.
 ``evaluate_campaign`` scores all its specs and rows with one, built at the
 deepest spec's depth; the subset experiment (``stats``) and the probe
 trajectory (``synth``) score blocks of row subsets. All agree bit for bit,
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
-from .rarity import check_count_depth, rarity_of_counts, retrieval_grid
+from .rarity import check_count_depth, rarity_of_counts, relevant_codes, retrieval_grid
 from .trec_io import Campaign
 
 
@@ -89,7 +89,7 @@ class _SubsetScorer:
 
     Rankings are the runs' codes into ``campaign.vocab``, read as they are,
     so hit tables and count grids come from numpy indexing, not from doc-id
-    strings.
+    strings; a code becomes a doc-id (``ids``) only to name an uncounted hit.
     """
 
     def __init__(self, campaign: Campaign, spec: MetricSpec, *, rarity_depth, ap_depth):
@@ -101,18 +101,17 @@ class _SubsetScorer:
         self.topics = campaign.judged_topics
         self.n_rel = [campaign.qrels.n_relevant(t) for t in self.topics]
         self.bound = metric_bound(spec, ap_depth)
-        vocab, no_docs = campaign.vocab, np.zeros(0, np.int32)
-        self.codes = [  # per topic, each row's ranking as codes into ``vocab``
+        self.ids, no_docs = campaign.vocab.ids, np.zeros(0, np.int32)
+        self.codes = [  # per topic, each row's ranking as codes into ``campaign.vocab``
             [no_docs if (c := run.columns.get(t)) is None else c.codes for run in self.runs]
             for t in self.topics
         ]
-        self.n_codes = len(vocab)
-        code_of, is_relevant = vocab.code_of, np.zeros(len(vocab), dtype=bool)
+        is_relevant = np.zeros(len(self.ids), dtype=bool)
         self.tables = []
         for topic, codes in zip(self.topics, self.codes):
-            relevant = [code_of[doc] for doc in campaign.qrels.relevant(topic) if doc in code_of]
+            relevant = relevant_codes(campaign, topic)
             is_relevant[relevant] = True
-            self.tables.append(hit_table(codes, is_relevant, vocab.ids, self.bound))
+            self.tables.append(hit_table(codes, is_relevant, self.bound))
             is_relevant[relevant] = False
         # The AP family averages over the topics with relevant documents only.
         self.kept = [i for i, n in enumerate(self.n_rel) if n or not spec.is_ap_family]
@@ -123,10 +122,10 @@ class _SubsetScorer:
         """Per topic, a systems x hit-docs grid of retrievals within the rarity
         depth: the retrieval counts of some rows are its column sums over them."""
         grids = []
-        column = np.full(self.n_codes, -1, dtype=np.intp)  # a hit doc's grid column
+        column = np.full(len(self.ids), -1, dtype=np.intp)  # a hit doc's grid column
         for codes, table in zip(self.codes, self.tables):
-            column[table.codes] = np.arange(len(table.docs))
-            grids.append(retrieval_grid(codes, column, len(table.docs), self.rarity_depth))
+            column[table.codes] = np.arange(table.codes.size)
+            grids.append(retrieval_grid(codes, column, table.codes.size, self.rarity_depth))
             column[table.codes] = -1
         return grids
 
@@ -145,7 +144,7 @@ class _SubsetScorer:
         bound = metric_bound(spec, self.ap_depth)
         values = np.zeros((n_sets, n_rows, len(self.topics)))
         for ti, (topic, table) in enumerate(zip(self.topics, self.tables)):
-            ranks, hit, any_hit = table.ranks, table.hit, bool(table.docs)
+            ranks, hit, any_hit = table.ranks, table.hit, bool(table.codes.size)
             if bound != self.bound:
                 hit = hit & (ranks <= bound)
                 ranks, any_hit = np.where(hit, ranks, np.inf), hit.any()
@@ -161,8 +160,8 @@ class _SubsetScorer:
                     uncounted = hits[counts[0, hits] < 1]
                     if uncounted.size:
                         raise UndefinedRarityError(
-                            f"no scored system retrieved {table.docs[uncounted[0]]!r} for "
-                            f"topic {topic!r} within count depth {self.rarity_depth}"
+                            f"no scored system retrieved {self.ids[table.codes[uncounted[0]]]!r}"
+                            f" for topic {topic!r} within count depth {self.rarity_depth}"
                         )
                 by_doc = rarity_of_counts(counts, n_rows, spec.config.rarity_variant)
                 if rows.ndim > 1:  # each set's own docs, NaN where none of its rows counts one

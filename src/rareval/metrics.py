@@ -14,12 +14,13 @@ plus a bounded mixture form ``P@k_mixture``:
 The formula is written once, in ``score_hits``, and it has two callers: the
 per-cell functions here and the one campaign scorer in ``campaign``, which
 serves ``evaluate_campaign``, the subset experiment in ``stats`` and the
-probe trajectory in ``synth``. A hit's rarity is ``rarity.rarity_of_counts``
-of counts in a caller's rarity index here, of the scorer's grid over the
-scored rows there. Both callers sum gains in rank order, so ``alpha = 0``
-reverts every weighted form to its standard counterpart bit-for-bit: a zero
-alpha contributes exactly ``0.0`` per term, and the two agree with each other
-to the last bit. Positions past the end of a ranking count as non-relevant,
+probe trajectory in ``synth``. Both take their hits from ``hit_table``, in
+codes only. A hit's rarity is ``rarity.rarity_of_counts`` of counts in a
+caller's rarity index here, of the scorer's grid over the scored rows there.
+Both callers sum gains in rank order, so ``alpha = 0`` reverts every
+weighted form to its standard counterpart bit-for-bit: a zero alpha
+contributes exactly ``0.0`` per term, and the two agree with each other to
+the last bit. Positions past the end of a ranking count as non-relevant,
 and non-relevant or unjudged documents contribute nothing however rare.
 """
 
@@ -119,26 +120,22 @@ def _sums_in_order(terms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HitTable:
-    """Relevant hits of some rankings, left-aligned, one row per ranking.
+    """Relevant hits of some rankings of codes, left-aligned, one row per ranking.
 
-    ``docs`` are the relevant documents hit, in first-seen order, and
-    ``codes`` their codes; ``ranks``, ``columns`` and ``hit`` are rows x hits
-    arrays of each hit's 1-based rank (``inf`` in padding slots), its column
-    in ``docs``, and whether it is one.
+    ``codes`` are the relevant codes hit, ascending; ``ranks``, ``columns``
+    and ``hit`` are rows x hits arrays of each hit's 1-based rank (``inf`` in
+    padding slots), its column in ``codes``, and whether it is one.
     """
 
-    docs: tuple[str, ...]
     codes: np.ndarray
     ranks: np.ndarray
     columns: np.ndarray
     hit: np.ndarray
 
 
-def hit_table(
-    rankings: Sequence[np.ndarray], relevant: np.ndarray, ids: Sequence[str], bound: int | None
-) -> HitTable:
+def hit_table(rankings: Sequence[np.ndarray], relevant: np.ndarray, bound: int | None) -> HitTable:
     """The relevant hits of each ranking of codes within ``bound`` (``None``:
-    all of it); ``relevant`` is a mask over the codes and ``ids`` their doc-ids."""
+    all of it); ``relevant`` is a mask over the codes."""
     scoped = [codes[:bound] for codes in rankings]
     lengths = np.fromiter(map(len, scoped), np.intp, len(scoped))
     flat = np.concatenate(scoped)
@@ -147,31 +144,27 @@ def hit_table(
     ranks = (np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths))[hit] + 1
     per_row = np.bincount(rows, minlength=len(scoped))
     slots = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    codes, first, inverse = np.unique(flat[hit], return_index=True, return_inverse=True)
-    seen = np.argsort(first)  # columns in first-seen order, row by row
-    column = np.empty_like(seen)
-    column[seen] = np.arange(seen.size)
+    codes, columns = np.unique(flat[hit], return_inverse=True)
     shape = (len(scoped), max(int(per_row.max(initial=0)), 1))
     rank_grid = np.full(shape, np.inf)
     rank_grid[rows, slots] = ranks
     col_grid = np.zeros(shape, dtype=np.intp)
-    col_grid[rows, slots] = column[inverse]
-    codes = codes[seen]
-    docs = tuple(map(ids.__getitem__, codes.tolist()))
-    return HitTable(docs, codes, rank_grid, col_grid, np.isfinite(rank_grid))
+    col_grid[rows, slots] = columns
+    return HitTable(codes, rank_grid, col_grid, np.isfinite(rank_grid))
 
 
 def _score_one(spec, docs, relevant, bound, n_relevant=1, index=None, topic="") -> float:
     """One ranking scored as a campaign is: its hit table over a vocabulary of
-    its own, each hit's rarity counted in ``index``, then ``score_hits``."""
+    its own, coded in rank order by ``intern`` (so the first uncounted hit in
+    code order is the first in rank), each hit's rarity counted in ``index``."""
     vocab, codes = intern([docs])
     is_relevant = np.fromiter(map(relevant.__contains__, vocab.ids), bool, len(vocab))
-    table = hit_table(codes, is_relevant, vocab.ids, bound)
-    if not table.docs:
+    table = hit_table(codes, is_relevant, bound)
+    if not table.codes.size:
         return 0.0  # nothing hit scores exactly 0
     rarity = None
     if spec.needs_rarity:
-        counts = checked_counts(index, topic, table.docs)
+        counts = checked_counts(index, topic, list(map(vocab.ids.__getitem__, table.codes)))
         variant = spec.config.rarity_variant
         rarity = rarity_of_counts(counts, index.total_systems, variant)[table.columns]
     return float(score_hits(spec, table.ranks, table.hit, rarity, n_relevant)[0])

@@ -20,7 +20,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, UndefinedRarityError
+from .errors import ConfigError, DataError, UndefinedRarityError
 from .trec_io import Campaign, Run
 
 RarityVariant = Literal["eq2", "revised"]
@@ -49,6 +49,18 @@ class RarityIndex:
 def is_depth(value) -> bool:
     """Whether ``value`` is an integer of at least 1 (numpy's too, not a bool)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+# Cells a run may take: trials x topics or systems drawn, generated run
+# entries, a pool's documents, trajectory steps x systems. 100 times 20 000
+# stability trials of 50 topics each.
+CELL_BUDGET = 10**8
+
+
+def check_cells(cells: int, what: str, unit: str = "cells") -> None:
+    """Reject ``what``, which comes to ``cells`` cells, past ``CELL_BUDGET``."""
+    if cells > CELL_BUDGET:
+        raise ConfigError(f"{what} exceeds the budget of {CELL_BUDGET} {unit}")
 
 
 def check_count_depth(count_depth: int | None) -> None:
@@ -84,18 +96,23 @@ def retrieval_grid(rankings: Sequence[np.ndarray], column: np.ndarray, n_columns
     return grid[:, :n_columns]
 
 
+def relevant_codes(campaign: Campaign, topic: str) -> np.ndarray:
+    """The codes in ``campaign.vocab`` of ``topic``'s relevant documents, ascending."""
+    code_of, relevant = campaign.vocab.code_of, campaign.qrels.relevant(topic)
+    return np.array(sorted(code_of[doc] for doc in relevant if doc in code_of), np.intp)
+
+
 def relevant_counts(campaign: Campaign, topic: str,
                     count_depth: int | None = None) -> dict[str, int]:
     """How many systems retrieve each relevant document of ``topic`` within
-    ``count_depth``; a document no system retrieves is absent."""
+    ``count_depth``, in code order; a document no system retrieves is absent."""
     check_count_depth(count_depth)
-    code_of = campaign.vocab.code_of
-    docs = [doc for doc in campaign.qrels.relevant(topic) if doc in code_of]
+    codes = relevant_codes(campaign, topic)
     column = np.full(len(campaign.vocab), -1, dtype=np.intp)
-    column[[code_of[doc] for doc in docs]] = np.arange(len(docs))
+    column[codes] = np.arange(codes.size)
     rankings = [run.columns[topic].codes for run in campaign.runs if topic in run.columns]
-    counts = retrieval_grid(rankings, column, len(docs), count_depth).sum(axis=0).tolist()
-    return {doc: n for doc, n in zip(docs, counts) if n}
+    counts = retrieval_grid(rankings, column, codes.size, count_depth).sum(axis=0).tolist()
+    return {campaign.vocab.ids[c]: n for c, n in zip(codes.tolist(), counts) if n}
 
 
 def extend_index(index: RarityIndex, run: Run) -> RarityIndex:

@@ -22,7 +22,7 @@ scores each distinct draw once, over blocks of draws sized to a few MB, and
 counts wins as integers, so its results equal the one-trial-at-a-time loop
 bit for bit. Subset trials are scored in blocks too, and give the draws,
 resamples, errors and results of the one-trial-at-a-time loop. A run takes
-at most ``TRIAL_CELLS`` trial cells. Nothing runs in threads.
+at most ``rarity.CELL_BUDGET`` trial cells. Nothing runs in threads.
 
 The HSD critical value comes from the studentized-range distribution: its
 CDF is the Copenhaver & Holland (1988) double integral, both integrals on
@@ -51,7 +51,7 @@ from .campaign import _BLOCK_SLOTS, ScoreMatrix, SystemRanking, _blocks, _Subset
 from .campaign import evaluate_campaign
 from .errors import ConfigError, DataError
 from .metrics import MetricSpec
-from .rarity import is_depth
+from .rarity import check_cells, is_depth
 from .rng import DEFAULT_SEED, check_seed, substream
 from .trec_io import Campaign
 
@@ -62,17 +62,6 @@ _VARIANCE_EPS = 1e-12
 # Substream tags so each procedure draws from its own counter family.
 _STREAM_STABILITY = 101
 _STREAM_SUBSET = 102
-
-# Trial cells (trials x topics or systems drawn) a stability or subset run
-# may take: 100 times 20 000 stability trials of 50 topics each.
-TRIAL_CELLS = 10**8
-
-
-def _check_trial_cells(trials: int, size: int, size_name: str) -> None:
-    if trials * size > TRIAL_CELLS:
-        budget = f"exceeds the budget of {TRIAL_CELLS} trial cells"
-        raise ConfigError(f"trial count {trials} x {size_name} {size} {budget}")
-
 
 # --- rank correlation ---------------------------------------------------------
 
@@ -485,7 +474,8 @@ class StabilityConfig:
             raise ConfigError(f"sample size must be an integer >= 1, got {self.sample_size!r}")
         if not is_depth(self.trials):
             raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
-        _check_trial_cells(self.trials, self.sample_size, "sample size")
+        what = f"trial count {self.trials} x sample size {self.sample_size}"
+        check_cells(self.trials * self.sample_size, what, "trial cells")
         check_seed(self.seed)
 
 
@@ -607,7 +597,8 @@ class SubsetExperimentConfig:
             raise ConfigError(f"subset size must be an integer >= 2, got {self.subset_size!r}")
         if not is_depth(self.trials):
             raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
-        _check_trial_cells(self.trials, self.subset_size, "subset size")
+        what = f"trial count {self.trials} x subset size {self.subset_size}"
+        check_cells(self.trials * self.subset_size, what, "trial cells")
         check_seed(self.seed)
 
 
@@ -622,9 +613,10 @@ class SubsetResult:
 
 _MAX_RESAMPLE_ATTEMPTS = 100
 
-# The last call's (campaign, spec, depths), scorer and full means: the CLI
-# makes one call per size with the same objects.
-_last_reference: list = [(None,) * 4, None, None]
+# The last call's key, scorer and full means: the CLI makes one call per size
+# with the same objects. The key holds what the scorer reads, the qrels and
+# each run, with the spec and depths, all compared by identity.
+_last_reference: list = [(), None, None]
 
 
 def subset_experiment(
@@ -648,8 +640,9 @@ def subset_experiment(
         raise DataError(
             f"subset size {config.subset_size} exceeds the {n_systems} systems"
         )
-    key = (campaign, spec, rarity_depth, ap_depth)
-    if any(a is not b for a, b in zip(key, _last_reference[0])):
+    key = (campaign.qrels, spec, rarity_depth, ap_depth, *campaign.runs)
+    last = _last_reference[0]
+    if len(key) != len(last) or any(a is not b for a, b in zip(key, last)):
         scorer = _SubsetScorer(campaign, spec, rarity_depth=rarity_depth, ap_depth=ap_depth)
         # The full-campaign reference ranking uses this same code path, so a
         # full-size subset reproduces it bit-for-bit (tau is then exactly 1).

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from numbers import Real
 from typing import Literal, Sequence
@@ -38,7 +39,7 @@ import numpy as np
 from .campaign import _BLOCK_SLOTS, _blocks, _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
-from .rarity import is_depth, relevant_counts
+from .rarity import check_cells, is_depth, relevant_counts
 from .rng import DEFAULT_SEED, check_seed, substream
 from .trec_io import Campaign, Qrels, Run, RunColumns, Vocabulary, intern
 
@@ -67,6 +68,10 @@ class SynthSpec:
             value = getattr(self, name)
             if not is_depth(value):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        check_cells(self.doc_pool_size, f"doc_pool_size {self.doc_pool_size}")
+        entries = self.n_systems * self.n_topics * self.run_depth
+        check_cells(entries, f"n_systems {self.n_systems} x n_topics {self.n_topics} x "
+                             f"run_depth {self.run_depth}")
         if self.n_relevant_per_topic > self.doc_pool_size:
             raise ConfigError(
                 f"relevant-per-topic {self.n_relevant_per_topic} must lie in "
@@ -156,24 +161,13 @@ def generate_campaign(spec: SynthSpec) -> Campaign:
     return Campaign(runs, Qrels(judgments, relevance_threshold=1))
 
 
-def _all_known_docs(campaign: Campaign) -> set[str]:
-    """The doc-ids of the campaign's vocabulary and qrels."""
-    known = set(campaign.vocab.ids)
-    for by_doc in campaign.qrels.judgments.values():
-        known.update(by_doc)
-    return known
-
-
 def _fresh_doc_ids(campaign: Campaign, tag: str, count: int) -> list[str]:
-    known = _all_known_docs(campaign)
-    out: list[str] = []
-    i = 0
-    while len(out) < count:
-        candidate = f"{tag}-{i:04d}"
-        if candidate not in known:
-            out.append(candidate)
-        i += 1
-    return out
+    """The first ``count`` of ``<tag>-0000``, ``<tag>-0001``, ... that neither
+    the campaign's code space nor its qrels hold."""
+    code_of, judged = campaign.vocab.code_of, campaign.qrels.judgments.values()
+    ids = (f"{tag}-{i:04d}" for i in itertools.count())
+    fresh = (doc for doc in ids if doc not in code_of and not any(doc in j for j in judged))
+    return list(itertools.islice(fresh, count))
 
 
 def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
@@ -258,6 +252,8 @@ def rank_trajectory(
         raise ConfigError(f"unknown probe kind {kind!r} (expected 'rare' or 'common')")
     if d_max < 1:
         raise DataError(f"d_max must be >= 1, got {d_max}")
+    systems = campaign.n_systems + 1  # with the probe
+    check_cells(d_max * systems, f"d_max {d_max} x {systems} systems with the probe")
     if topic not in campaign.qrels.judgments:
         raise DataError(f"topic {topic!r} is not judged in the qrels")
     if config is None:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rareval.campaign
+import rareval.metrics
 import rareval.rarity
 from rareval import (
     Campaign,
@@ -316,6 +317,62 @@ class TestBlocksOfRowSets:
                 in_order += column
             assert mean.tobytes() == rareval.campaign.topic_means(values).tobytes()
             assert mean.tobytes() == (in_order / values.shape[1]).tobytes()
+
+
+def first_uncounted(campaign, rows, count_depth, bound):
+    """The (topic, doc) of the first relevant hit no row of ``rows`` retrieves
+    within ``count_depth``: topics in order, then rows, then hits in rank order."""
+    runs = [campaign.run_for(campaign.system_ids[i]) for i in rows]
+    for topic in campaign.judged_topics:
+        relevant = campaign.qrels.relevant(topic)
+        counted = {doc for run in runs for doc in run.docs(topic)[:count_depth]}
+        for run in runs:
+            for doc in run.docs(topic)[:bound]:
+                if doc in relevant and doc not in counted:
+                    return topic, doc
+    return None
+
+
+class TestUncountedHitIsNamed:
+    """The scorer's UndefinedRarityError names the doc a plain walk finds."""
+
+    @pytest.mark.parametrize("kind", ["p_rareness", "ap_rareness", "p_mixture"])
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        campaign=tiny_campaigns(),
+        rarity_depth=st.integers(1, 4),
+        ap_depth=st.sampled_from(["cutoff", None]),
+        data=st.data(),
+    )
+    def test_one_set_and_a_block_name_the_walks_doc(
+        self, kind, campaign, rarity_depth, ap_depth, data
+    ):
+        spec = data.draw(metric_specs(kind))
+        scorer = _SubsetScorer(campaign, spec, rarity_depth=rarity_depth, ap_depth=ap_depth)
+        bound = rareval.metrics.metric_bound(spec, ap_depth)
+        n = campaign.n_systems
+        size = data.draw(st.integers(1, n))
+        one_set = st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)
+        sets = np.array(data.draw(st.lists(one_set.map(sorted), min_size=1, max_size=4)))
+
+        def named(rows):
+            try:
+                scorer.scores(rows, spec)
+            except UndefinedRarityError as exc:
+                return str(exc)
+            return None
+
+        def expected(rows):
+            found = first_uncounted(campaign, rows, rarity_depth, bound)
+            return found and (f"no scored system retrieved {found[1]!r} for topic "
+                              f"{found[0]!r} within count depth {rarity_depth}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # revised rarity over a single row
+            block = scorer.scores(sets, spec)
+            for i, rows in enumerate(sets):
+                assert named(rows) == expected(rows)
+                assert np.isnan(block[i]).any() == (expected(rows) is not None)
 
 
 KINDS = ["p", "ap", "p_rareness", "ap_rareness", "p_mixture"]

@@ -421,30 +421,75 @@ def _address_space_limit():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _past_the_budget(argv):
+    """stdout and stderr of ``rareval argv`` in a child with a capped address
+    space, asserting it exits 2."""
+    result = subprocess.run(
+        [sys.executable, "-m", "rareval", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_address_space_limit,
+    )
+    assert result.returncode == 2
+    return result.stdout, result.stderr
+
+
+BIG = str(2**64)
+
+
 class TestTrialCellBudget:
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (["stability", "--trials", str(2**64)], f"trial count {2**64} x sample size 1"),
-            (["stability", "--sample-size", str(2**64), "--trials", "1"],
-             f"trial count 1 x sample size {2**64}"),
-            (["subset", "--sizes", "2", "--trials", str(2**64)],
-             f"trial count {2**64} x subset size 2"),
-            (["subset", "--sizes", str(2**64)], f"trial count 1000 x subset size {2**64}"),
+            (["stability", "--trials", BIG], f"trial count {BIG} x sample size 1"),
+            (["stability", "--sample-size", BIG, "--trials", "1"],
+             f"trial count 1 x sample size {BIG}"),
+            (["subset", "--sizes", "2", "--trials", BIG], f"trial count {BIG} x subset size 2"),
+            (["subset", "--sizes", BIG], f"trial count 1000 x subset size {BIG}"),
         ],
         ids=["stability-trials", "stability-sample-size", "subset-trials", "subset-sizes"],
     )
     def test_a_count_past_the_budget_exits_2_with_one_error_line(self, toy_files, argv, field):
         runs, qrels = toy_files
-        result = subprocess.run(
-            [sys.executable, "-m", "rareval", *argv, "--runs", *runs, "--qrels", qrels,
-             "--cutoff", "3", "--metric", "P@3"],
-            capture_output=True, text=True, timeout=60, preexec_fn=_address_space_limit,
+        out, err = _past_the_budget(
+            [*argv, "--runs", *runs, "--qrels", qrels, "--cutoff", "3", "--metric", "P@3"]
         )
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr == (
-            f"error: {field} exceeds the budget of {rareval.stats.TRIAL_CELLS} trial cells\n"
+        assert out == ""
+        assert err == (
+            f"error: {field} exceeds the budget of {rareval.rarity.CELL_BUDGET} trial cells\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--systems", f"n_systems {BIG} x n_topics 3 x run_depth 5"),
+            ("--topics", f"n_systems 4 x n_topics {BIG} x run_depth 5"),
+            ("--pool", f"doc_pool_size {BIG}"),
+        ],
+        ids=["systems", "topics", "pool"],
+    )
+    def test_a_synth_count_past_the_budget_exits_2_and_writes_nothing(
+        self, tmp_path, flag, field
+    ):
+        shape = {"--systems": "4", "--topics": "3", "--relevant": "2", "--pool": "20",
+                 "--depth": "5", flag: BIG}
+        out, err = _past_the_budget(
+            ["synth", *[token for item in shape.items() for token in item],
+             "--out", str(tmp_path / "out")]
+        )
+        assert out == ""
+        assert err == f"error: {field} exceeds the budget of {rareval.rarity.CELL_BUDGET} cells\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_a_trajectory_d_max_past_the_budget_exits_2(self, toy_files, kind):
+        runs, qrels = toy_files
+        out, err = _past_the_budget(
+            ["trajectory", "--kind", kind, "--topic", "t1", "--d-max", BIG,
+             "--runs", *runs, "--qrels", qrels, "--cutoff", "3"]
+        )
+        assert out == ""
+        assert err == (
+            f"error: d_max {BIG} x 5 systems with the probe exceeds the budget of "
+            f"{rareval.rarity.CELL_BUDGET} cells\n"
         )
 
 

@@ -31,11 +31,11 @@ from rareval import (
     subset_experiment,
 )
 from rareval.errors import ConfigError, DataError, UndefinedRarityError
+from rareval.rarity import CELL_BUDGET
 from rareval.rng import MAX_SEED, substream
 from rareval.stats import (
     _STREAM_STABILITY,
     SIGNIFICANCE_LEVELS,
-    TRIAL_CELLS,
     _SubsetScorer,
     _tau_b,
     _trial_samples,
@@ -660,6 +660,21 @@ class TestBatchedSubset:
         subset_experiment(hetero_campaign, other, SubsetExperimentConfig(2, trials=5))
         assert len(built) == 2
 
+    def test_new_qrels_on_the_same_campaign_are_not_served_the_last_scorer(self):
+        campaign = generate_campaign(SynthSpec(12, 4, 10, 60, 0.4, 15, seed=3))
+        spec = MetricSpec.parse("P@10_rareness")
+        config = SubsetExperimentConfig(4, trials=50, seed=1)
+        before = subset_experiment(campaign, spec, config).mean_tau
+        # Every second judged doc of a topic, in doc-id order, passes threshold 2.
+        campaign.qrels = Qrels(
+            {t: {d: 1 + (i % 2 == 0) for i, d in enumerate(sorted(by_doc))}
+             for t, by_doc in campaign.qrels.judgments.items()},
+            relevance_threshold=2,
+        )
+        after = subset_experiment(campaign, spec, config).mean_tau
+        fresh = subset_experiment(Campaign(campaign.runs, campaign.qrels), spec, config)
+        assert after == fresh.mean_tau != before
+
 
 class TestSubsetExperiment:
     def test_full_subset_is_exactly_one(self, hetero_campaign):
@@ -884,16 +899,16 @@ def test_numpy_integer_depths_score_as_python_ints(toy4):
         (SubsetExperimentConfig, {"subset_size": 2, "seed": -1},
          f"seed must be an integer in 0..{MAX_SEED}, got -1"),
         (StabilityConfig, {"sample_size": 1, "trials": 2**64},
-         f"trial count {2**64} x sample size 1 exceeds the budget of {TRIAL_CELLS} trial cells"),
+         f"trial count {2**64} x sample size 1 exceeds the budget of {CELL_BUDGET} trial cells"),
         (StabilityConfig, {"sample_size": 2**64, "trials": 1},
-         f"trial count 1 x sample size {2**64} exceeds the budget of {TRIAL_CELLS} trial cells"),
-        (StabilityConfig, {"sample_size": 2, "trials": TRIAL_CELLS // 2 + 1},
-         f"trial count {TRIAL_CELLS // 2 + 1} x sample size 2 exceeds the budget of "
-         f"{TRIAL_CELLS} trial cells"),
+         f"trial count 1 x sample size {2**64} exceeds the budget of {CELL_BUDGET} trial cells"),
+        (StabilityConfig, {"sample_size": 2, "trials": CELL_BUDGET // 2 + 1},
+         f"trial count {CELL_BUDGET // 2 + 1} x sample size 2 exceeds the budget of "
+         f"{CELL_BUDGET} trial cells"),
         (SubsetExperimentConfig, {"subset_size": 2, "trials": 2**64},
-         f"trial count {2**64} x subset size 2 exceeds the budget of {TRIAL_CELLS} trial cells"),
+         f"trial count {2**64} x subset size 2 exceeds the budget of {CELL_BUDGET} trial cells"),
         (SubsetExperimentConfig, {"subset_size": 2**64, "trials": 1},
-         f"trial count 1 x subset size {2**64} exceeds the budget of {TRIAL_CELLS} trial cells"),
+         f"trial count 1 x subset size {2**64} exceeds the budget of {CELL_BUDGET} trial cells"),
     ],
 )
 def test_config_field_of_the_wrong_type_is_a_config_error_naming_it(config, fields, message):
@@ -904,5 +919,5 @@ def test_config_field_of_the_wrong_type_is_a_config_error_naming_it(config, fiel
 def test_trial_cell_budget_admits_the_protocols_up_to_its_edge():
     StabilityConfig(50, trials=20_000)
     SubsetExperimentConfig(100, trials=1000)
-    StabilityConfig(2, trials=TRIAL_CELLS // 2)
-    SubsetExperimentConfig(TRIAL_CELLS, trials=1)
+    StabilityConfig(2, trials=CELL_BUDGET // 2)
+    SubsetExperimentConfig(CELL_BUDGET, trials=1)

@@ -26,6 +26,7 @@ from rareval import (
 )
 from rareval.cli import dispatch
 from rareval.errors import ConfigError, DataError, FormatError, UndefinedRarityError
+from rareval.rarity import CELL_BUDGET
 
 import oracles
 from conftest import make_run
@@ -127,6 +128,18 @@ class TestGenerateCampaign:
         message = rf"^{field} must be .*, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigError, match=message):
             SynthSpec(**{**fields, field: value})
+
+    def test_a_shape_past_the_cell_budget_is_a_config_error_naming_it(self):
+        SynthSpec(100, 50, 100, 5000, 0.35, 1000)
+        SynthSpec(100, 50, 100, 500_000, 0.35, 1000)
+        SynthSpec(1, 1, 1, CELL_BUDGET, 0.5, 1)
+        SynthSpec(CELL_BUDGET // 2, 2, 1, 1, 0.5, 1)
+        budget = f"exceeds the budget of {CELL_BUDGET} cells$"
+        with pytest.raises(ConfigError, match=f"^doc_pool_size {CELL_BUDGET + 1} {budget}"):
+            SynthSpec(1, 1, 1, CELL_BUDGET + 1, 0.5, 1)
+        entries = f"^n_systems {CELL_BUDGET // 2 + 1} x n_topics 2 x run_depth 1 {budget}"
+        with pytest.raises(ConfigError, match=entries):
+            SynthSpec(CELL_BUDGET // 2 + 1, 2, 1, 1, 0.5, 1)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(
@@ -239,6 +252,13 @@ def traj_campaign() -> Campaign:
 
 
 class TestRankTrajectory:
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_a_d_max_past_the_cell_budget_is_a_config_error_naming_it(self, traj_campaign, kind):
+        d_max = CELL_BUDGET // 13 + 1  # 12 systems and the probe
+        message = f"^d_max {d_max} x 13 systems with the probe exceeds the budget of "
+        with pytest.raises(ConfigError, match=message):
+            rank_trajectory(traj_campaign, kind, traj_campaign.judged_topics[0], [1.0], d_max)
+
     def test_rare_trajectories_monotone_and_orderly(self, traj_campaign):
         topic = traj_campaign.judged_topics[0]
         config = MetricConfig(cutoff=40)
@@ -486,12 +506,12 @@ class TestTrajectoryProperties:
         import rareval.synth
 
         calls = []
-        scan = rareval.synth._all_known_docs
+        fresh = rareval.synth._fresh_doc_ids
         monkeypatch.setattr(
-            rareval.synth, "_all_known_docs", lambda c: calls.append(1) or scan(c)
+            rareval.synth, "_fresh_doc_ids", lambda *a: calls.append(a[2]) or fresh(*a)
         )
         rank_trajectory(traj_campaign, "rare", traj_campaign.judged_topics[0], [0.0, 1.0], 6)
-        assert len(calls) == 1
+        assert calls == [6]  # the probe's ids, made once at d_max
 
     @pytest.mark.parametrize("kind", ["rare", "common"])
     def test_one_subset_scorer_serves_every_alpha(self, traj_campaign, monkeypatch, kind):

@@ -12,7 +12,7 @@ Rarity counts are column sums of its incidence grid over the scored rows.
 It reads rankings as the runs' own codes into the campaign's one code
 space, ``Campaign.vocab``: a topic's hits are a lookup in a mask of
 ``rarity.relevant_codes``, and its grid is ``rarity.retrieval_grid`` of each
-row's codes through a code-to-column array, with no per-document Python loop.
+row's codes over the topic's hit docs, with no per-document Python loop.
 ``evaluate_campaign`` scores all its specs and rows with one, built at the
 deepest spec's depth; the subset experiment (``stats``) and the probe
 trajectory (``synth``) score blocks of row subsets. All agree bit for bit,
@@ -121,13 +121,8 @@ class _SubsetScorer:
     def incidence(self) -> list[np.ndarray]:
         """Per topic, a systems x hit-docs grid of retrievals within the rarity
         depth: the retrieval counts of some rows are its column sums over them."""
-        grids = []
-        column = np.full(len(self.ids), -1, dtype=np.intp)  # a hit doc's grid column
-        for codes, table in zip(self.codes, self.tables):
-            column[table.codes] = np.arange(table.codes.size)
-            grids.append(retrieval_grid(codes, column, table.codes.size, self.rarity_depth))
-            column[table.codes] = -1
-        return grids
+        return [retrieval_grid(codes, table.codes, len(self.ids), self.rarity_depth)
+                for codes, table in zip(self.codes, self.tables)]
 
     def scores(self, rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
         """The ``rows`` x judged-topics scores of ``spec`` (no deeper than the

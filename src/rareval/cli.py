@@ -26,6 +26,7 @@ cached.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -183,7 +184,16 @@ def _ap_depth(args):
 
 
 def _table_metrics(args) -> list[MetricSpec]:
-    return [_parse_metric(args, name.format(k=args.cutoff)) for name in TABLE_METRICS]
+    """The ``--metric`` specs, or else the six-metric table at ``--cutoff``."""
+    names = args.metric or [name.format(k=args.cutoff) for name in TABLE_METRICS]
+    return [_parse_metric(args, name) for name in names]
+
+
+def _matrices(args, campaign, specs: Sequence[MetricSpec], **options):
+    """Every spec scored over the campaign at the command's count and AP depths."""
+    return evaluate_campaign(
+        campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args), **options
+    )
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -192,13 +202,8 @@ def _table_metrics(args) -> list[MetricSpec]:
 def _cmd_eval(args) -> int:
     campaign = _load(args)
     specs = [_parse_metric(args, m) for m in (args.metric or ["P@{}".format(args.cutoff), "AP"])]
-    matrices = evaluate_campaign(
-        campaign,
-        specs,
-        rarity_depth=args.rarity_depth,
-        ap_depth=_ap_depth(args),
-        exclude_zero_relevant_for_p=args.exclude_empty_topics,
-    )
+    matrices = _matrices(args, campaign, specs,
+                         exclude_zero_relevant_for_p=args.exclude_empty_topics)
     rows: list[dict] = []
     for matrix in matrices:
         means = mean_scores(matrix)
@@ -238,9 +243,7 @@ def _cmd_compare(args) -> int:
         weighted = [f"{base_name}_rareness(alpha={a},rarity={args.rarity})" for a in alphas]
         names = (base_name, *weighted)
         specs += [MetricSpec.parse(name, default_cutoff=args.cutoff) for name in names]
-    matrices = evaluate_campaign(
-        campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
-    )
+    matrices = _matrices(args, campaign, specs)
     rows: list[dict] = []
     per_family = 1 + len(alphas)
     for start in range(0, len(matrices), per_family):
@@ -255,12 +258,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_discpower(args) -> int:
     campaign = _load(args)
-    specs = (
-        [_parse_metric(args, m) for m in args.metric] if args.metric else _table_metrics(args)
-    )
-    matrices = evaluate_campaign(
-        campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
-    )
+    matrices = _matrices(args, campaign, _table_metrics(args))
     pairs_total = total_pairs(campaign.n_systems)
     rows = [
         {
@@ -278,12 +276,8 @@ def _cmd_discpower(args) -> int:
 
 def _cmd_stability(args) -> int:
     campaign = _load(args)
-    specs = (
-        [_parse_metric(args, m) for m in args.metric] if args.metric else _table_metrics(args)
-    )
-    matrices = evaluate_campaign(
-        campaign, specs, rarity_depth=args.rarity_depth, ap_depth=_ap_depth(args)
-    )
+    specs = _table_metrics(args)
+    matrices = _matrices(args, campaign, specs)
     rows: list[dict] = []
     for spec, matrix in zip(specs, matrices):
         usable = matrix.scored_topic_indices().size
@@ -537,4 +531,6 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    raise SystemExit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    gc.freeze()  # shutdown then skips collecting what the imports built
+    raise SystemExit(code)

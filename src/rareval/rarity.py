@@ -86,14 +86,16 @@ def build_rarity_index(campaign: Campaign, count_depth: int | None = None) -> Ra
     return RarityIndex(campaign.n_systems, counts, count_depth)
 
 
-def retrieval_grid(rankings: Sequence[np.ndarray], column: np.ndarray, n_columns: int,
+def retrieval_grid(rankings: Sequence[np.ndarray], codes: np.ndarray, size: int,
                    depth: int | None) -> np.ndarray:
-    """Rows x ``n_columns``: True where a row's ranking, cut at ``depth``, holds a
-    code that ``column`` maps there; -1 maps to a spare last column, cut off."""
-    grid = np.zeros((len(rankings), n_columns + 1), dtype=bool)
-    for row, codes in zip(grid, rankings):  # row by row: no campaign-sized temporaries
-        row[column[codes[:depth]]] = True
-    return grid[:, :n_columns]
+    """Rows x ``len(codes)``: True where a row's ranking (codes below ``size``),
+    cut at ``depth``, holds ``codes[j]``; other codes go to a spare column, cut off."""
+    column = np.full(size, -1, dtype=np.intp)
+    column[codes] = np.arange(codes.size)
+    grid = np.zeros((len(rankings), codes.size + 1), dtype=bool)
+    for row, ranking in zip(grid, rankings):  # row by row: no campaign-sized temporaries
+        row[column[ranking[:depth]]] = True
+    return grid[:, :codes.size]
 
 
 def relevant_codes(campaign: Campaign, topic: str) -> np.ndarray:
@@ -108,11 +110,9 @@ def relevant_counts(campaign: Campaign, topic: str,
     ``count_depth``, in code order; a document no system retrieves is absent."""
     check_count_depth(count_depth)
     codes = relevant_codes(campaign, topic)
-    column = np.full(len(campaign.vocab), -1, dtype=np.intp)
-    column[codes] = np.arange(codes.size)
     rankings = [run.columns[topic].codes for run in campaign.runs if topic in run.columns]
-    counts = retrieval_grid(rankings, column, codes.size, count_depth).sum(axis=0).tolist()
-    return {campaign.vocab.ids[c]: n for c, n in zip(codes.tolist(), counts) if n}
+    counts = retrieval_grid(rankings, codes, len(campaign.vocab), count_depth).sum(axis=0)
+    return {campaign.vocab.ids[c]: n for c, n in zip(codes.tolist(), counts.tolist()) if n}
 
 
 def extend_index(index: RarityIndex, run: Run) -> RarityIndex:

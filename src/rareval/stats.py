@@ -461,6 +461,17 @@ def total_pairs(n_systems: int) -> int:
 # --- stability ----------------------------------------------------------------
 
 
+def _check_trials(noun: str, size, least: int, trials, seed) -> None:
+    """A trial config's checks: a ``noun`` size of at least ``least``, a trial
+    count of at least 1, their product within the cell budget, and the seed."""
+    if not is_depth(size) or size < least:
+        raise ConfigError(f"{noun} size must be an integer >= {least}, got {size!r}")
+    if not is_depth(trials):
+        raise ConfigError(f"trial count must be an integer >= 1, got {trials!r}")
+    check_cells(trials * size, f"trial count {trials} x {noun} size {size}", "trial cells")
+    check_seed(seed)
+
+
 @dataclass(frozen=True)
 class StabilityConfig:
     """Topic-subsample size, trial count, and seed for the stability protocol."""
@@ -470,13 +481,7 @@ class StabilityConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not is_depth(self.sample_size):
-            raise ConfigError(f"sample size must be an integer >= 1, got {self.sample_size!r}")
-        if not is_depth(self.trials):
-            raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
-        what = f"trial count {self.trials} x sample size {self.sample_size}"
-        check_cells(self.trials * self.sample_size, what, "trial cells")
-        check_seed(self.seed)
+        _check_trials("sample", self.sample_size, 1, self.trials, self.seed)
 
 
 @dataclass
@@ -593,13 +598,7 @@ class SubsetExperimentConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not is_depth(self.subset_size) or self.subset_size < 2:
-            raise ConfigError(f"subset size must be an integer >= 2, got {self.subset_size!r}")
-        if not is_depth(self.trials):
-            raise ConfigError(f"trial count must be an integer >= 1, got {self.trials!r}")
-        what = f"trial count {self.trials} x subset size {self.subset_size}"
-        check_cells(self.trials * self.subset_size, what, "trial cells")
-        check_seed(self.seed)
+        _check_trials("subset", self.subset_size, 2, self.trials, self.seed)
 
 
 @dataclass

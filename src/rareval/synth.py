@@ -185,6 +185,7 @@ def make_rare_system(
     """
     if d < 1:
         raise DataError(f"the probe system needs at least 1 document, got {d}")
+    check_cells(d, f"d {d} fresh documents")
     fresh = _fresh_doc_ids(campaign, tag, d)
     return _build_run(tag, topic, fresh), campaign.qrels.with_added(topic, fresh)
 

@@ -40,7 +40,9 @@ into a line break; whitespace that ``str.split`` knows and ``bytes.split``
 does not; NUL and the other control bytes; any non-ASCII byte; and every
 malformed file) goes to the line-by-line parser. It is the only source of
 parse errors, so their messages and line numbers do not depend on the fast
-pass.
+pass. It and ``parse_qrels`` read through one line reader (``_records``),
+which splits each line into fields and rejects bytes that are not UTF-8 and
+a wrong field count with the same located messages for both kinds of file.
 
 ``load_campaign(..., cache=DIR)`` keeps each load's parsed runs in ``DIR``
 as one ``.npz`` entry, named by a sha256 over this module's source as it
@@ -67,7 +69,7 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,13 +252,14 @@ class Qrels:
         return Qrels(judgments, self.relevance_threshold)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Campaign:
     """A full evaluation campaign: one qrels plus S >= 1 runs with distinct ids.
 
     ``vocab`` is the campaign's one code space: every column of ``runs``
     holds codes into it. Runs over another vocabulary are replaced by copies
-    re-coded into the union of all of them (see the module docstring).
+    re-coded into the union of all of them (see the module docstring). It is
+    frozen: ``dataclasses.replace`` swaps ``runs`` or ``qrels`` and recomputes ``vocab``.
     """
 
     runs: list[Run]
@@ -272,20 +275,18 @@ class Campaign:
                 raise FormatError(f"duplicate system id {run.system_id!r}")
             seen.add(run.system_id)
         vocabs = list(dict.fromkeys(c.vocab for run in self.runs for c in run.columns.values()))
-        if len(vocabs) <= 1:
-            self.vocab = vocabs[0] if vocabs else Vocabulary([])
-            return
-        self.vocab, to_union = union_vocabulary(vocabs)
+        vocab, to_union = union_vocabulary(vocabs or [Vocabulary([])])
 
         def recoded(c: RunColumns) -> RunColumns:
             codes = c.codes if c.vocab is vocabs[0] else to_union[c.vocab][c.codes]
-            return c._replace(codes=codes, vocab=self.vocab)
+            return c._replace(codes=codes, vocab=vocab)
 
-        self.runs = [
-            run if all(c.vocab is self.vocab for c in run.columns.values())
+        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "runs", [
+            run if all(c.vocab is vocab for c in run.columns.values())
             else Run(run.system_id, {topic: recoded(c) for topic, c in run.columns.items()})
             for run in self.runs
-        ]
+        ])
 
     @property
     def n_systems(self) -> int:
@@ -361,10 +362,22 @@ def _text_lines(content: bytes | list[str]) -> Iterable[str]:
     return content
 
 
-def _check_utf8(raw: str, name: str, lineno: int) -> None:
-    """ParseError at ``name:lineno`` for a line holding bytes that were not UTF-8."""
-    if any("\udc80" <= ch <= "\udcff" for ch in raw):
-        raise ParseError(f"not valid UTF-8 text: {raw.strip()!r}", source=name, line=lineno)
+def _records(
+    content: bytes | list[str], name: str, layout: str
+) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` of each non-blank line of ``content``: a located
+    ParseError for a line holding bytes that were not UTF-8, or holding a
+    field count other than ``layout``'s."""
+    width = len(layout.split())
+    for lineno, raw in enumerate(_text_lines(content), start=1):
+        if not raw.isascii() and any("\udc80" <= ch <= "\udcff" for ch in raw):
+            raise ParseError(f"not valid UTF-8 text: {raw.strip()!r}", source=name, line=lineno)
+        fields = raw.split()
+        if len(fields) not in (0, width):
+            raise ParseError(f"expected {width} fields '{layout}', got {len(fields)}",
+                             source=name, line=lineno)
+        if fields:
+            yield lineno, fields
 
 
 # Token ids, and so codes, stay below this, as do a file's lines: the
@@ -475,7 +488,7 @@ def _assemble(scan: _Scan, vocab: Vocabulary, code: np.ndarray, order: OrderPoli
 
 
 def _parse_run_lines(
-    lines: Iterable[str], name: str, dedup: DedupPolicy, interner: _Interner
+    content: bytes | list[str], name: str, dedup: DedupPolicy, interner: _Interner
 ) -> _Scan:
     """The line-by-line parser: a located ParseError or FormatError for the
     first bad line."""
@@ -483,20 +496,8 @@ def _parse_run_lines(
     topics: dict[str, int] = {}  # each topic's index, in order of first appearance
     seen: set[tuple[str, str]] = set()
     kept: list[tuple[int, bytes, float, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.isascii():
-            _check_utf8(raw, name, lineno)
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) != 6:
-            raise ParseError(
-                f"expected 6 fields 'topic Q0 docid rank score runtag', got {len(fields)}",
-                source=name,
-                line=lineno,
-            )
-        topic, _q0, doc, rank_str, score_str, runtag = fields
+    layout = "topic Q0 docid rank score runtag"
+    for lineno, (topic, _q0, doc, rank_str, score_str, runtag) in _records(content, name, layout):
         try:
             rank_field = int(rank_str)
         except ValueError:
@@ -554,7 +555,7 @@ def _read_run(
         text = "".join(content)
         scan = _scan(text.encode("ascii"), interner) if text.isascii() else None
     if scan is None:
-        return _parse_run_lines(_text_lines(content), _source_name(source), dedup, interner)
+        return _parse_run_lines(content, _source_name(source), dedup, interner)
     return scan
 
 
@@ -756,20 +757,8 @@ def parse_qrels(source, relevance_threshold: int = 1) -> Qrels:
     """
     judgments: dict[str, dict[str, int]] = {}
     name = _source_name(source)
-    for lineno, raw in enumerate(_text_lines(_read(source)), start=1):
-        if not raw.isascii():
-            _check_utf8(raw, name, lineno)
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) != 4:
-            raise ParseError(
-                f"expected 4 fields 'topic iter docid grade', got {len(fields)}",
-                source=name,
-                line=lineno,
-            )
-        topic, _it, doc, grade_str = fields
+    layout = "topic iter docid grade"
+    for lineno, (topic, _it, doc, grade_str) in _records(_read(source), name, layout):
         try:
             grade = int(grade_str)
         except ValueError:

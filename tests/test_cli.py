@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -709,6 +713,56 @@ class TestLoadCache:
         monkeypatch.setattr(rareval.cli.Path, "home", classmethod(no_home))
         assert rareval.cli._cache_dir() is None
         assert run_cli(["compare", *inputs], capsys) == expected
+
+
+class TestFileFuzzing:
+    """A run or qrels file with a few bytes edited ends in exit 0, or in exit 1
+    with one ``error:`` line that names an edited file; never in a traceback."""
+
+    RUN = b"t1 Q0 d1 1 3.5 A\nt1 Q0 d2 2 2.0 A\nt2 Q0 d3 1 1.25 A\nt2 Q0 d1 2 -1 A\n"
+    OTHER = b"t1 Q0 d2 1 9.0 B\nt2 Q0 d3 1 8.0 B\n"
+    QRELS = b"t1 0 d1 1\nt1 0 d2 2\nt1 0 d9 0\nt2 0 d3 1\nt2 0 d4 1\n"
+    # Line breaks, control bytes and whitespace that text readers disagree on,
+    # bytes that are not UTF-8, NEL and NBSP, number spellings, and b"" (a deletion).
+    TOKENS = [b"\r", b"\x00", b"\x0b", b"\x1c", b"\xff", b"\xc2\x85", b"\xc2\xa0",
+              *(str(digit).encode() for digit in range(10)), b".", b"-", b"nan", b" ",
+              b"\n", b""]
+
+    @staticmethod
+    def _edited(data, edits):
+        for position, token, replace in edits:
+            at = position % (len(data) + 1)
+            data = data[:at] + token + data[at + replace:]
+        return data
+
+    def test_edited_files_exit_0_or_1_with_one_error_line_naming_the_file(self, capsys):
+        edits = st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(self.TOKENS), st.booleans()),
+            max_size=3,
+        )
+
+        @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+        @given(edits, edits)
+        def check(run_edits, qrels_edits):
+            with tempfile.TemporaryDirectory() as home:
+                run, other, qrels = (Path(home, name) for name in ("A.run", "B.run", "qrels"))
+                run.write_bytes(self._edited(self.RUN, run_edits))
+                other.write_bytes(self.OTHER)
+                qrels.write_bytes(self._edited(self.QRELS, qrels_edits))
+                with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": home}):
+                    capsys.readouterr()
+                    code = dispatch(["eval", "--runs", str(run), str(other),
+                                     "--qrels", str(qrels)])
+                    out, err = capsys.readouterr()
+            assert code in (0, 1), err
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                edited = [path for path, e in ((run, run_edits), (qrels, qrels_edits)) if e]
+                assert any(str(path) in err for path in edited), err
+            else:
+                assert out and "error:" not in err
+
+        check()
 
 
 class TestTrajectoryCommand:

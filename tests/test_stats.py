@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -661,18 +662,25 @@ class TestBatchedSubset:
         assert len(built) == 2
 
     def test_new_qrels_on_the_same_campaign_are_not_served_the_last_scorer(self):
-        campaign = generate_campaign(SynthSpec(12, 4, 10, 60, 0.4, 15, seed=3))
+        shape = SynthSpec(12, 4, 10, 60, 0.4, 15, seed=3)
         spec = MetricSpec.parse("P@10_rareness")
         config = SubsetExperimentConfig(4, trials=50, seed=1)
+
+        def regraded(campaign):
+            # Every second judged doc of a topic, in doc-id order, passes threshold 2.
+            return dataclasses.replace(campaign, qrels=Qrels(
+                {t: {d: 1 + (i % 2 == 0) for i, d in enumerate(sorted(by_doc))}
+                 for t, by_doc in campaign.qrels.judgments.items()},
+                relevance_threshold=2,
+            ))
+
+        campaign = generate_campaign(shape)
         before = subset_experiment(campaign, spec, config).mean_tau
-        # Every second judged doc of a topic, in doc-id order, passes threshold 2.
-        campaign.qrels = Qrels(
-            {t: {d: 1 + (i % 2 == 0) for i, d in enumerate(sorted(by_doc))}
-             for t, by_doc in campaign.qrels.judgments.items()},
-            relevance_threshold=2,
-        )
-        after = subset_experiment(campaign, spec, config).mean_tau
-        fresh = subset_experiment(Campaign(campaign.runs, campaign.qrels), spec, config)
+        same_runs = regraded(campaign)
+        assert all(a is b for a, b in zip(same_runs.runs, campaign.runs, strict=True))
+        after = subset_experiment(same_runs, spec, config).mean_tau
+        # Runs no earlier call has seen: nothing can be served from the memo.
+        fresh = subset_experiment(regraded(generate_campaign(shape)), spec, config)
         assert after == fresh.mean_tau != before
 
 

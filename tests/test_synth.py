@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rareval.synth
 from rareval import (
     Campaign,
     MetricConfig,
@@ -215,6 +216,21 @@ class TestMakeRareSystem:
     def test_zero_docs_disallowed(self, toy4):
         with pytest.raises(DataError):
             make_rare_system(toy4, "t1", 0)
+
+    @pytest.mark.parametrize("d", [CELL_BUDGET + 1, 2**64], ids=["budget+1", "2**64"])
+    def test_d_past_the_cell_budget_is_a_config_error_naming_it(self, toy4, d, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):  # stands in for drawing the ids, which the budget must precede
+            raise Drawn
+
+        monkeypatch.setattr(rareval.synth, "_fresh_doc_ids", drawn)
+        with pytest.raises(Drawn):  # the edge itself is admitted
+            make_rare_system(toy4, "t1", CELL_BUDGET)
+        message = f"^d {d} fresh documents exceeds the budget of {CELL_BUDGET} cells$"
+        with pytest.raises(ConfigError, match=message):
+            make_rare_system(toy4, "t1", d)
 
     def test_namespace_collisions_are_skipped(self, toy4):
         taken = make_run("X", {"t1": ["hyp-rare-0000", "hyp-rare-0002"]})

@@ -18,10 +18,12 @@ from rareval import (
     Campaign,
     DataError,
     FormatError,
+    MetricSpec,
     ParseError,
     Qrels,
     RunEntry,
     build_rarity_index,
+    evaluate_campaign,
     format_qrels,
     format_run,
     load_campaign,
@@ -238,6 +240,56 @@ class TestUndecodableInput:
             assert not source.closed  # the caller's stream stays usable
 
 
+# Every located parse error's whole message; ``{}`` is where the file came from.
+_RUN_FIELDS = "expected 6 fields 'topic Q0 docid rank score runtag'"
+_BAD_FILES = [
+    (parse_run_file, b"t1 Q0 d1 1 9.5 A\nt1 Q0 d2 2 8.0\n", ParseError,
+     f"{{}}:2: {_RUN_FIELDS}, got 5"),
+    (parse_run_file, b"\r\n\r\nt1 Q0 d1 1 9.5 A x\r\n", ParseError,
+     f"{{}}:3: {_RUN_FIELDS}, got 7"),
+    (parse_run_file, b"t1 Q0 d1 1 9.5 A\nt1 Q0 d\xff 2 8.0 A\n", ParseError,
+     "{}:2: not valid UTF-8 text: 't1 Q0 d\\udcff 2 8.0 A'"),
+    (parse_run_file, b"t1 Q0 d1 x 9.5 A\n", ParseError, "{}:1: non-integer rank 'x'"),
+    (parse_run_file, b"t1 Q0 d1 1.0 9.5 A\n", ParseError, "{}:1: non-integer rank '1.0'"),
+    (parse_run_file, b"t1 Q0 d1 -99999999999999999999 9.5 A\n", ParseError,
+     "{}:1: rank '-99999999999999999999' does not fit in 64 bits"),
+    (parse_run_file, b"t1 Q0 d1 1 abc A\n", ParseError, "{}:1: non-numeric score 'abc'"),
+    (parse_run_file, b"t1 Q0 d1 1 nan A\n", ParseError, "{}:1: non-finite score 'nan'"),
+    (parse_run_file, b"t1 Q0 d1 1 -inf A\n", ParseError, "{}:1: non-finite score '-inf'"),
+    (parse_run_file, b"t1 Q0 d1 1 9.5 A\nt1 Q0 d2 2 8.0 B\n", FormatError,
+     "{}:2: mixed run tags in one file ('A' vs 'B')"),
+    (parse_run_file, b"t1 Q0 d1 1 9.5 A\nt1 Q0 d1 2 8.0 A\n", FormatError,
+     "{}:2: duplicate document 'd1' for topic 't1'"),
+    (parse_qrels, b"t1 0 d1 1\nt1 0 d2\n", ParseError,
+     "{}:2: expected 4 fields 'topic iter docid grade', got 3"),
+    (parse_qrels, b"\r\nt1 0 d1 1 1\r\n", ParseError,
+     "{}:2: expected 4 fields 'topic iter docid grade', got 5"),
+    (parse_qrels, b"t1 0 d\xff 1\n", ParseError, "{}:1: not valid UTF-8 text: 't1 0 d\\udcff 1'"),
+    (parse_qrels, b"t1 0 d1 x\n", ParseError, "{}:1: non-integer grade 'x'"),
+    (parse_qrels, b"t1 0 d1 1.0\n", ParseError, "{}:1: non-integer grade '1.0'"),
+    (parse_qrels, b"t1 0 d1 -1\n", ParseError, "{}:1: negative grade -1"),
+    (parse_qrels, b"t1 0 d1 1\nt1 0 d1 2\n", FormatError,
+     "{}:2: conflicting grades for ('t1', 'd1'): 1 vs 2"),
+]
+
+
+class TestParseErrorMessages:
+    @pytest.mark.parametrize("parse, data, error, message", _BAD_FILES)
+    @pytest.mark.parametrize("via", ["path", "byte-backed stream", "text stream"])
+    def test_the_whole_message_is_pinned(self, tmp_path, parse, data, error, message, via):
+        if via == "path":
+            source = tmp_path / "bad.txt"
+            source.write_bytes(data)
+        elif via == "byte-backed stream":  # as sys.stdin is
+            source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        else:
+            source = io.StringIO(data.decode("utf-8", "surrogateescape"))
+        with pytest.raises(error) as raised:
+            parse(source)
+        assert type(raised.value) is error
+        assert str(raised.value) == message.format(source if via == "path" else "<stream>")
+
+
 class TestLoadCampaign:
     def _sources(self, tags):
         return [io.StringIO(f"t1 Q0 d{i} 1 1.0 {tag}\n") for i, tag in enumerate(tags)]
@@ -376,6 +428,22 @@ class TestCampaignValidation:
     def test_at_least_one_run(self, toy4):
         with pytest.raises(DataError):
             Campaign([], toy4.qrels)
+
+    def test_a_campaign_is_frozen_and_replace_recomputes_its_code_space(self):
+        a = make_run("A", {"t1": ["d1", "d2"]})
+        b = make_run("B", {"t1": ["x9", "d1"]})
+        campaign = Campaign([a], Qrels({"t1": {"d1": 1, "x9": 1}}))
+        for name, value in (("runs", [b]), ("qrels", Qrels({"t1": {"d2": 1}}))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(campaign, name, value)
+        p2 = [MetricSpec.parse("P@2")]
+        assert evaluate_campaign(campaign, p2)[0].values.tolist() == [[0.5]]
+        swapped = dataclasses.replace(campaign, runs=[b])
+        assert swapped.runs[0].docs("t1") == ("x9", "d1")
+        assert evaluate_campaign(swapped, p2)[0].values.tolist() == [[1.0]]
+        regraded = dataclasses.replace(campaign, qrels=Qrels({"t1": {"d2": 1}}))
+        assert regraded.runs[0] is campaign.runs[0] and regraded.vocab is campaign.vocab
+        assert evaluate_campaign(regraded, p2)[0].values.tolist() == [[0.5]]
 
 
 # Field spellings for generated run files. A clean line draws from the

@@ -20,7 +20,9 @@ Trials run serially; ``RAREVAL_THREADS`` is not read. Commands that read a
 campaign keep its parsed run files in ``$XDG_CACHE_HOME/rareval`` (by default
 ``~/.cache/rareval``), so that the next command over the same files reads
 them back instead of parsing them again; runs from standard input are not
-cached.
+cached. ``import rareval`` defers numpy (``rareval._numpy``), and ``dispatch``
+loads it once argparse and the ``>= 1`` flag checks have passed, so ``--help``
+and usage errors exit without loading it.
 """
 
 from __future__ import annotations
@@ -517,6 +519,8 @@ def dispatch(argv: Sequence[str]) -> int:
         for flag in ("cutoff", "rarity_depth", "d_max"):
             if (value := getattr(args, flag, None)) is not None and value < 1:
                 raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+        import numpy  # noqa: F401  (loads numpy now, not inside the first layer to read it)
+
         with warnings.catch_warnings():  # each warning as one line, no source echo
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr

@@ -18,8 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, DataError, UndefinedRarityError
 from .trec_io import Campaign, Run
 

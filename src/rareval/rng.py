@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from numbers import Integral
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError
 
 DEFAULT_SEED = 1729

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Literal, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .campaign import _BLOCK_SLOTS, _blocks, _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec
@@ -278,7 +277,7 @@ def rank_trajectory(
         Run(f"{tag} D={d}", {topic: _ranked(columns.codes[:d], columns.vocab)})
         for d in range(1, d_max + 1)
     ]
-    stacked = Campaign(base.runs + probes, qrels)
+    stacked = Campaign([*base.runs, *probes], qrels)
     row = {system: i for i, system in enumerate(stacked.system_ids)}
     base_rows = [row[system] for system in base.system_ids]
     steps = np.array([base_rows + [row[run.system_id]] for run in probes])  # probe D last

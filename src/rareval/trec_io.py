@@ -71,14 +71,13 @@ import zipfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, DataError, FormatError, ParseError
 
 DedupPolicy = Literal["reject", "first"]
 OrderPolicy = Literal["score", "rank-field"]
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1  # int64 bounds, read without numpy
 
 
 @dataclass(frozen=True)
@@ -259,10 +258,11 @@ class Campaign:
     ``vocab`` is the campaign's one code space: every column of ``runs``
     holds codes into it. Runs over another vocabulary are replaced by copies
     re-coded into the union of all of them (see the module docstring). It is
-    frozen: ``dataclasses.replace`` swaps ``runs`` or ``qrels`` and recomputes ``vocab``.
+    frozen, and ``runs`` is a tuple whatever sequence it was given:
+    ``dataclasses.replace`` swaps ``runs`` or ``qrels`` and recomputes ``vocab``.
     """
 
-    runs: list[Run]
+    runs: tuple[Run, ...]
     qrels: Qrels
     vocab: Vocabulary = field(init=False, repr=False, compare=False)
 
@@ -282,11 +282,11 @@ class Campaign:
             return c._replace(codes=codes, vocab=vocab)
 
         object.__setattr__(self, "vocab", vocab)
-        object.__setattr__(self, "runs", [
+        object.__setattr__(self, "runs", tuple(
             run if all(c.vocab is vocab for c in run.columns.values())
             else Run(run.system_id, {topic: recoded(c) for topic, c in run.columns.items()})
             for run in self.runs
-        ])
+        ))
 
     @property
     def n_systems(self) -> int:
@@ -502,7 +502,7 @@ def _parse_run_lines(
             rank_field = int(rank_str)
         except ValueError:
             raise ParseError(f"non-integer rank {rank_str!r}", source=name, line=lineno)
-        if not _INT64.min <= rank_field <= _INT64.max:
+        if not _INT64_MIN <= rank_field <= _INT64_MAX:
             raise ParseError(
                 f"rank {rank_str!r} does not fit in 64 bits", source=name, line=lineno
             )
@@ -597,15 +597,15 @@ try:  # the source this module was imported from, read now so that a later edit
         _SOURCE: bytes | None = _handle.read()
 except OSError:
     _SOURCE = None  # no key can name this code: loads are not cached
-_ENTRY = {  # an entry's arrays and their dtypes
-    "codes": np.int32,
-    "scores": np.float64,
-    "rank_fields": np.int64,
-    "lengths": np.int64,  # per (run, topic): runs in load order, topics in file order
-    "topic_counts": np.int64,  # per run
-    "tags": np.uint8,  # the strings "\n"-joined, as UTF-8 with surrogatepass
-    "topics": np.uint8,
-    "vocab": np.uint8,
+_ENTRY = {  # an entry's arrays and their dtypes, by name
+    "codes": "int32",
+    "scores": "float64",
+    "rank_fields": "int64",
+    "lengths": "int64",  # per (run, topic): runs in load order, topics in file order
+    "topic_counts": "int64",  # per run
+    "tags": "uint8",  # the strings "\n"-joined, as UTF-8 with surrogatepass
+    "topics": "uint8",
+    "vocab": "uint8",
 }
 
 

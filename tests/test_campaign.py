@@ -45,7 +45,7 @@ class TestEvaluateCampaign:
         assert row(matrix, "B")[0] == pytest.approx((1 + 1.75) / 3)
 
     def test_missing_topic_scores_zero(self, toy4):
-        runs = toy4.runs + [make_run("E", {"t2": ["d1"]})]
+        runs = [*toy4.runs, make_run("E", {"t2": ["d1"]})]
         qrels = Qrels({"t1": dict(toy4.qrels.judgments["t1"]), "t2": {"d1": 1}})
         campaign = Campaign(runs, qrels)
         matrix = evaluate_campaign(campaign, [MetricSpec.parse("P@3")])[0]

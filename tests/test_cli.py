@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rareval.cli
@@ -717,7 +717,10 @@ class TestLoadCache:
 
 class TestFileFuzzing:
     """A run or qrels file with a few bytes edited ends in exit 0, or in exit 1
-    with one ``error:`` line that names an edited file; never in a traceback."""
+    with one ``error:`` line, after any ``note:`` or ``warning:`` lines; never in
+    a traceback. The error names an edited file, unless the files load and the
+    campaign they make is one the command cannot use (every system tied, too
+    few relevant documents for the probe)."""
 
     RUN = b"t1 Q0 d1 1 3.5 A\nt1 Q0 d2 2 2.0 A\nt2 Q0 d3 1 1.25 A\nt2 Q0 d1 2 -1 A\n"
     OTHER = b"t1 Q0 d2 1 9.0 B\nt2 Q0 d3 1 8.0 B\n"
@@ -735,13 +738,32 @@ class TestFileFuzzing:
             data = data[:at] + token + data[at + replace:]
         return data
 
-    def test_edited_files_exit_0_or_1_with_one_error_line_naming_the_file(self, capsys):
+    # Each command that reads a campaign, with few trials, and its examples:
+    # eval's 100 take about 0.6 s, and the other six's 30 each about 2 s together.
+    COMMANDS = {
+        "eval": ([], 100),
+        "compare": ([], 30),
+        "report": ([], 30),
+        "subset": (["--sizes", "2", "--trials", "3"], 30),
+        "stability": (["--sample-size", "1", "--trials", "3"], 30),
+        "trajectory-rare": (["--topic", "t1", "--d-max", "2"], 30),
+        "trajectory-common": (["--topic", "t1", "--d-max", "2"], 30),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_edited_files_exit_0_or_1_with_one_error_line_naming_the_file(self, capsys,
+                                                                          command):
+        options, examples = self.COMMANDS[command]
+        name, _, kind = command.partition("-")
+        argv = [name, *(["--kind", kind] if kind else []), *options]
         edits = st.lists(
             st.tuples(st.integers(0, 200), st.sampled_from(self.TOKENS), st.booleans()),
             max_size=3,
         )
 
-        @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+        # A fixed seed per command, so that each draws edits of its own.
+        @seed(list(self.COMMANDS).index(command))
+        @settings(max_examples=examples, deadline=None, database=None)
         @given(edits, edits)
         def check(run_edits, qrels_edits):
             with tempfile.TemporaryDirectory() as home:
@@ -751,16 +773,19 @@ class TestFileFuzzing:
                 qrels.write_bytes(self._edited(self.QRELS, qrels_edits))
                 with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": home}):
                     capsys.readouterr()
-                    code = dispatch(["eval", "--runs", str(run), str(other),
+                    code = dispatch([*argv, "--runs", str(run), str(other),
                                      "--qrels", str(qrels)])
                     out, err = capsys.readouterr()
-            assert code in (0, 1), err
-            if code == 1:
-                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert code in (0, 1), err
+                if code == 0:
+                    assert out and "error:" not in err
+                    return
+                *notes, error, end = err.split("\n")
+                assert error.startswith("error: ") and end == "", err
+                assert all(line.startswith(("note: ", "warning: ")) for line in notes), err
                 edited = [path for path, e in ((run, run_edits), (qrels, qrels_edits)) if e]
-                assert any(str(path) in err for path in edited), err
-            else:
-                assert out and "error:" not in err
+                if not any(str(path) in error for path in edited):
+                    load_campaign([run, other], qrels)  # a campaign-level error
 
         check()
 
@@ -1020,6 +1045,87 @@ class TestImportFootprint:
         )
         assert (code, loaded) == (0, "")
         assert float(out) == pytest.approx(4.23, abs=0.01)  # the published table value
+
+
+class TestNumpyOnFirstUse:
+    """``import rareval`` binds numpy as importlib's lazy module, and the CLI
+    loads it once the flags have passed. The lazy module itself sits under
+    ``numpy``, so "loaded" means that some ``numpy.`` submodule is there."""
+
+    LOADED = "any(m.startswith('numpy.') for m in sys.modules)"
+    USAGE = (
+        ["--help"],
+        *([command, "--help"] for command in ("eval", "compare", "discpower", "stability",
+                                              "subset", "synth", "trajectory", "report")),
+        [], ["bogus"],
+        ["stability", "--seed", "-1", "--runs", "x", "--qrels", "y"],
+        ["eval", "--runs", "x", "--qrels", "y", "--cutoff", "0"],
+        ["trajectory", "--kind", "rare", "--topic", "t1", "--d-max", "0",
+         "--runs", "x", "--qrels", "y"],
+    )
+
+    def _python(self, *args):
+        result = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                                timeout=60)
+        return result.returncode, result.stdout, result.stderr
+
+    def test_import_and_build_parser_load_no_numpy(self):
+        body = ("import sys, rareval, rareval.cli\n"
+                f"rareval.cli.build_parser()\nprint({self.LOADED})")
+        assert self._python("-c", body) == (0, "False\n", "")
+
+    def test_help_and_usage_errors_exit_without_loading_numpy(self):
+        code, out, err = self._python("-m", "rareval", "--help")
+        assert code == 0 and "discpower" in out and err == ""
+        # The same entry point, in one interpreter: numpy, once loaded, stays.
+        body = (
+            "import contextlib, io, json, runpy, sys\n"
+            "results = []\n"
+            f"for argv in {list(self.USAGE)!r}:\n"
+            "    sys.argv = ['rareval', *argv]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            runpy.run_module('rareval', run_name='__main__', alter_sys=True)\n"
+            "        except SystemExit as exc:\n"
+            f"            results.append([argv, exc.code, {self.LOADED}])\n"
+            "print(json.dumps(results))"
+        )
+        code, out, err = self._python("-c", body)
+        assert code == 0, err
+        results = json.loads(out)
+        assert len(results) == len(self.USAGE)
+        for argv, status, loaded in results:
+            assert status in (0, 2) and not loaded, (argv, status, loaded)
+
+    def test_a_command_loads_numpy_before_its_handler_and_keeps_one_module(self, tmp_path):
+        runs = tmp_path / "A.run"
+        runs.write_text("t1 Q0 d1 1 1.0 A\n")
+        qrels = tmp_path / "qrels"
+        qrels.write_text("t1 0 d1 1\n")
+        body = (
+            "import sys, rareval.cli as cli\n"
+            f"assert not {self.LOADED}\n"
+            "seen = []\n"
+            "handler, cli._cmd_eval = cli._cmd_eval, lambda args: seen.append("
+            f"{self.LOADED}) or handler(args)\n"
+            f"code = cli.dispatch(['eval', '--runs', {str(runs)!r}, '--qrels', {str(qrels)!r}])\n"
+            "from rareval._numpy import np\n"
+            "print(code, seen, np is sys.modules['numpy'], type(np).__name__, np.ones(2).sum())"
+        )
+        code, out, err = self._python("-c", body)
+        assert code == 0, err
+        assert out.splitlines()[-1] == "0 [True] True module 2.0"
+
+    def test_numpy_imported_first_is_the_binding(self):
+        body = ("import numpy, sys\nfrom rareval._numpy import np\n"
+                "print(np is numpy is sys.modules['numpy'])")
+        assert self._python("-c", body) == (0, "True\n", "")
+
+    def test_without_numpy_import_rareval_raises_module_not_found(self):
+        body = ("import sys\nsys.modules['numpy'] = None\n"
+                "try:\n    import rareval\nexcept ModuleNotFoundError:\n    print('raised')")
+        assert self._python("-c", body) == (0, "raised\n", "")
 
 
 class TestConsoleEntryPoint:

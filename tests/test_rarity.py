@@ -41,7 +41,7 @@ class TestBuildIndex:
         for depth in (None, 1, 2):
             base = build_rarity_index(toy4, depth)
             rebuilt = build_rarity_index(
-                Campaign(toy4.runs + [extra], toy4.qrels), depth
+                Campaign([*toy4.runs, extra], toy4.qrels), depth
             )
             assert extend_index(base, extra) == rebuilt
 

@@ -234,7 +234,7 @@ class TestMakeRareSystem:
 
     def test_namespace_collisions_are_skipped(self, toy4):
         taken = make_run("X", {"t1": ["hyp-rare-0000", "hyp-rare-0002"]})
-        campaign = Campaign(toy4.runs + [taken], toy4.qrels)
+        campaign = Campaign([*toy4.runs, taken], toy4.qrels)
         run, _ = make_rare_system(campaign, "t1", 2)
         assert run.docs("t1") == ("hyp-rare-0001", "hyp-rare-0003")
 
@@ -319,7 +319,7 @@ class TestRankTrajectory:
         topic = traj_campaign.judged_topics[0]
         base = traj_campaign.restricted_to_topics([topic])
         run, qrels = make_rare_system(base, topic, 5)
-        extended = Campaign(base.runs + [run], qrels)
+        extended = Campaign([*base.runs, run], qrels)
         scores = {}
         for alpha in (0.0, 1.0):
             spec = MetricSpec("p_rareness", MetricConfig(cutoff=40, alpha=alpha))
@@ -359,10 +359,10 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *,
         for d in range(1, d_max + 1):
             if kind == "rare":
                 run, qrels = make_rare_system(base, topic, d)
-                extended = Campaign(base.runs + [run], qrels)
+                extended = Campaign([*base.runs, run], qrels)
             else:
                 run = make_common_system(base, topic, d, count_depth=rarity_depth)
-                extended = Campaign(base.runs + [run], base.qrels)
+                extended = Campaign([*base.runs, run], base.qrels)
             matrix = evaluate_campaign(extended, [spec], rarity_depth=rarity_depth)[0]
             ranks.append((d, rank_systems(mean_scores(matrix)).rank_of(run.system_id)))
         out.append(ranks)
@@ -514,7 +514,7 @@ class TestTrajectoryProperties:
         ]
 
     def test_base_system_named_like_the_probe_rejected(self, toy4):
-        campaign = Campaign(toy4.runs + [make_run("hyp-rare", {"t1": ["d2"]})], toy4.qrels)
+        campaign = Campaign([*toy4.runs, make_run("hyp-rare", {"t1": ["d2"]})], toy4.qrels)
         with pytest.raises(FormatError, match="duplicate system id 'hyp-rare'"):
             rank_trajectory(campaign, "rare", "t1", [0.0], 3)
 

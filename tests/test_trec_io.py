@@ -423,7 +423,7 @@ class TestRoundTrip:
 class TestCampaignValidation:
     def test_duplicate_ids_rejected_at_construction(self, toy4):
         with pytest.raises(FormatError):
-            Campaign(toy4.runs + [toy4.runs[0]], toy4.qrels)
+            Campaign([*toy4.runs, toy4.runs[0]], toy4.qrels)
 
     def test_at_least_one_run(self, toy4):
         with pytest.raises(DataError):
@@ -444,6 +444,25 @@ class TestCampaignValidation:
         regraded = dataclasses.replace(campaign, qrels=Qrels({"t1": {"d2": 1}}))
         assert regraded.runs[0] is campaign.runs[0] and regraded.vocab is campaign.vocab
         assert evaluate_campaign(regraded, p2)[0].values.tolist() == [[0.5]]
+
+    def test_its_runs_are_a_tuple_that_no_list_mutation_reaches(self):
+        a = make_run("A", {"t1": ["d1", "d2"]})
+        b = make_run("B", {"t1": ["x9", "d1"]})
+        qrels = Qrels({"t1": {"d1": 1, "x9": 1}})
+        p2 = [MetricSpec.parse("P@2")]
+        expected = evaluate_campaign(Campaign([a, b], qrels), p2)[0].values.tolist()
+        assert expected == [[0.5], [1.0]]
+        given = [a, b]
+        campaign = Campaign(given, qrels)
+        assert isinstance(campaign.runs, tuple)
+        given.reverse()
+        given.append(make_run("C", {"t1": ["d1"]}))
+        assert evaluate_campaign(campaign, p2)[0].values.tolist() == expected
+        alone = Campaign([a], qrels)
+        with pytest.raises(AttributeError):
+            alone.runs.append(b)
+        assert alone.n_systems == 1
+        assert isinstance(dataclasses.replace(alone, runs=[a, b]).runs, tuple)
 
 
 # Field spellings for generated run files. A clean line draws from the

@@ -1,20 +1,21 @@
-"""numpy, bound as ``np`` and loaded on its first attribute read.
+"""numpy's names, loaded on the first attribute read of this module.
 
-Until then ``sys.modules["numpy"]`` holds importlib's lazy module, so any
-later ``import numpy`` loads it in place and there is one numpy module
-object. A process that imported numpy first gets that module itself.
+The other modules write ``from . import _numpy as np``, so ``import rareval``
+loads no numpy and leaves ``sys.modules["numpy"]`` as it was. The first read
+of a name, ``np.zeros`` say, runs ``import numpy`` under the import system's
+lock, so two threads making it at once both get the whole module, and keeps
+the name here: later reads are plain module lookups of numpy's own objects.
 """
 
-import importlib.util
-import sys
+from importlib.util import find_spec
 
-if "numpy" in sys.modules:
-    import numpy as np  # noqa: F401  (None there raises ModuleNotFoundError)
-else:
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = importlib.util.module_from_spec(_spec)
-    sys.modules["numpy"] = np
-    _spec.loader.exec_module(np)
+if find_spec("numpy") is None:  # also when sys.modules["numpy"] is None
+    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+del find_spec
+
+
+def __getattr__(name: str):
+    import numpy
+
+    value = globals()[name] = getattr(numpy, name)
+    return value

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Mapping, Sequence
 
-from ._numpy import np
+from . import _numpy as np
 from .errors import DataError, UndefinedRarityError
 from .metrics import MetricSpec, hit_table, metric_bound, score_hits
 from .rarity import check_count_depth, rarity_of_counts, relevant_codes, retrieval_grid

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import AbstractSet, Literal, Sequence
 
-from ._numpy import np
+from . import _numpy as np
 from .errors import ConfigError, DataError
 from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, checked_counts, is_depth
 from .rarity import rarity_of_counts

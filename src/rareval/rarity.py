@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
-from ._numpy import np
+from . import _numpy as np
 from .errors import ConfigError, DataError, UndefinedRarityError
 from .trec_io import Campaign, Run
 

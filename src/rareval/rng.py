@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from numbers import Integral
 
-from ._numpy import np
+from . import _numpy as np
 from .errors import ConfigError
 
 DEFAULT_SEED = 1729

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-from ._numpy import np
+from . import _numpy as np
 from .campaign import _BLOCK_SLOTS, ScoreMatrix, SystemRanking, _blocks, _SubsetScorer
 from .campaign import evaluate_campaign
 from .errors import ConfigError, DataError

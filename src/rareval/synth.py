@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Literal, Sequence
 
-from ._numpy import np
+from . import _numpy as np
 from .campaign import _BLOCK_SLOTS, _blocks, _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
 from .metrics import MetricConfig, MetricSpec

@@ -71,7 +71,7 @@ import zipfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from ._numpy import np
+from . import _numpy as np
 from .errors import ConfigError, DataError, FormatError, ParseError
 
 DedupPolicy = Literal["reject", "first"]

@@ -10,7 +10,7 @@ probe: the number of relevant documents it needs to reach rank 1 shrinks
 as alpha rises, while the common probe barely notices alpha.
 """
 
-from rareval import MetricConfig, SynthSpec, generate_campaign, rank_trajectory
+from rareval import MetricSpec, SynthSpec, generate_campaign, rank_trajectory
 
 campaign = generate_campaign(
     SynthSpec(
@@ -24,12 +24,11 @@ campaign = generate_campaign(
     )
 )
 topic = campaign.judged_topics[0]
-alphas = (0.0, 0.5, 1.0)
-config = MetricConfig(cutoff=100)
+specs = [MetricSpec.parse(f"P@100_rareness(alpha={a})") for a in (0.0, 0.5, 1.0)]
 
 for kind in ("rare", "common"):
     d_max = 60 if kind == "rare" else 45
-    results = rank_trajectory(campaign, kind, topic, alphas, d_max, config)
+    results = rank_trajectory(campaign, kind, topic, specs, d_max)
     print(f"\n{kind} probe on {topic} (rank among 65 systems):")
     checkpoints = [1, 10, 20, 30, 40, d_max]
     header = "  ".join(f"D={d:<3d}" for d in checkpoints)

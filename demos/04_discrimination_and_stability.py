@@ -48,9 +48,7 @@ for name in names:
     matrix = evaluate_campaign(campaign, [spec])[0]
     at95 = discriminative_power(matrix, 0.95)
     at99 = discriminative_power(matrix, 0.99)
-    result = stability(
-        campaign, spec, StabilityConfig(sample_size=6, trials=300), matrix=matrix
-    )
+    result = stability(matrix, StabilityConfig(sample_size=6, trials=300))
     print(f"{spec.descriptor:34s} {at95:8d} {at99:8d} {result.overall:10.3f}")
 print(
     "\nhow the weighted rows compare to their baselines depends on whether"

@@ -278,18 +278,15 @@ def _cmd_discpower(args) -> int:
 
 def _cmd_stability(args) -> int:
     campaign = _load(args)
-    specs = _table_metrics(args)
-    matrices = _matrices(args, campaign, specs)
+    matrices = _matrices(args, campaign, _table_metrics(args))
     rows: list[dict] = []
-    for spec, matrix in zip(specs, matrices):
+    for matrix in matrices:
         usable = matrix.scored_topic_indices().size
         sample = args.sample_size if args.sample_size is not None else max(1, usable // 2)
         result = stability(
-            campaign,
-            spec,
+            matrix,
             StabilityConfig(sample_size=sample, trials=args.trials, seed=args.seed),
             direction=args.stability_direction,
-            matrix=matrix,
         )
         rows.append(
             {"metric": result.metric_descriptor, "scope": "overall", "value": result.overall}
@@ -363,17 +360,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_trajectory(args) -> int:
     campaign = _load(args)
-    # Alpha comes from the grid; only cutoff and variant matter here.
-    config = MetricSpec.parse(
-        f"P@{args.cutoff}_rareness", default_variant=args.rarity
-    ).config
+    names = [f"P@{args.cutoff}_rareness(alpha={a},rarity={args.rarity})"
+             for a in _alpha_grid(args.alphas)]
     results = rank_trajectory(
         campaign,
         args.kind,
         args.topic,
-        _alpha_grid(args.alphas),
+        [MetricSpec.parse(name) for name in names],
         args.d_max,
-        config,
         multi_topic=args.multi_topic,
         rarity_depth=args.rarity_depth,
     )

@@ -39,20 +39,17 @@ from .rarity import RARITY_VARIANTS, RarityIndex, RarityVariant, checked_counts,
 from .rarity import rarity_of_counts
 from .trec_io import intern
 
-Formulation = Literal["additive", "mixture"]
-
 DEFAULT_CUTOFF = 100
 DEFAULT_ALPHA = 1.0
 
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Cutoff, rarity weight, rarity variant, and weighting formulation."""
+    """Cutoff, rarity weight, and rarity variant; the spec's kind picks the formula."""
 
     cutoff: int = DEFAULT_CUTOFF
     alpha: float = DEFAULT_ALPHA
     rarity_variant: RarityVariant = "eq2"
-    formulation: Formulation = "additive"
 
     def __post_init__(self) -> None:
         if not is_depth(self.cutoff):
@@ -66,20 +63,6 @@ class MetricConfig:
             raise ConfigError(
                 f"unknown rarity variant {self.rarity_variant!r} "
                 f"(expected one of {RARITY_VARIANTS})"
-            )
-        if self.formulation not in ("additive", "mixture"):
-            raise ConfigError(
-                f"unknown formulation {self.formulation!r} "
-                "(expected 'additive' or 'mixture')"
-            )
-        if self.formulation == "mixture" and self.alpha > 1:
-            raise ConfigError(
-                f"the mixture formulation needs alpha in [0, 1], got {self.alpha}"
-            )
-        if self.formulation == "additive" and self.alpha > 1:
-            warnings.warn(
-                f"alpha={self.alpha} > 1 exceeds the recommended [0, 1] range",
-                stacklevel=2,
             )
 
 
@@ -184,8 +167,6 @@ def p_at_k_rareness(
     config: MetricConfig,
 ) -> float:
     """Precision at k with each relevant hit boosted by ``alpha * rarity``."""
-    if config.formulation != "additive":
-        raise ConfigError("p_at_k_rareness requires the additive formulation")
     spec = MetricSpec("p_rareness", config)
     return _score_one(spec, docs, relevant, config.cutoff, 1, index, topic)
 
@@ -219,7 +200,7 @@ def ap_rareness(
 
     ``depth`` overrides the summation bound (``None`` uses the config cutoff).
     """
-    spec = MetricSpec("ap_rareness", config)  # rejects the mixture formulation
+    spec = MetricSpec("ap_rareness", config)
     if n_relevant < 1:
         raise DataError("average precision is undefined for a topic with no relevant docs")
     bound = metric_bound(spec, "cutoff" if depth is None else depth)
@@ -269,12 +250,11 @@ class MetricSpec:
     config: MetricConfig
 
     def __post_init__(self) -> None:
-        if self.kind in ("p_rareness", "ap_rareness") and self.config.formulation != "additive":
-            raise ConfigError(f"{self.kind} requires the additive formulation")
-        if self.kind == "p_mixture" and self.config.alpha > 1.0:
-            raise ConfigError(
-                f"the mixture formulation needs alpha in [0, 1], got {self.config.alpha}"
-            )
+        alpha = self.config.alpha
+        if self.kind == "p_mixture" and alpha > 1.0:
+            raise ConfigError(f"the mixture formulation needs alpha in [0, 1], got {alpha}")
+        if self.kind in ("p_rareness", "ap_rareness") and alpha > 1.0:
+            warnings.warn(f"alpha={alpha} > 1 exceeds the recommended [0, 1] range", stacklevel=2)
 
     @property
     def needs_rarity(self) -> bool:
@@ -337,7 +317,6 @@ class MetricSpec:
         else:
             cutoff = default_cutoff
             kind = "ap_rareness" if match.group("asuffix") else "ap"
-        formulation = "mixture" if kind == "p_mixture" else "additive"
         variant = params.get("rarity", default_variant)
         if "rarity" in params and variant not in RARITY_VARIANTS:
             raise ConfigError(
@@ -359,7 +338,7 @@ class MetricSpec:
                 raise ConfigError(f"bad alpha value {params['alpha']!r} in {text!r}")
         else:
             alpha = default_alpha
-        return cls(kind, MetricConfig(cutoff, alpha, variant, formulation))
+        return cls(kind, MetricConfig(cutoff, alpha, variant))
 
 
 def metric_bound(

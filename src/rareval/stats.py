@@ -47,7 +47,6 @@ from typing import Literal
 
 from . import _numpy as np
 from .campaign import _BLOCK_SLOTS, ScoreMatrix, SystemRanking, _blocks, _SubsetScorer
-from .campaign import evaluate_campaign
 from .errors import ConfigError, DataError
 from .metrics import MetricSpec
 from .rarity import check_cells, is_depth
@@ -516,16 +515,12 @@ def _trial_samples(seed: int, n_topics: int, sample_size: int, trials: int) -> n
 
 
 def stability(
-    campaign: Campaign,
-    spec: MetricSpec,
+    matrix: ScoreMatrix,
     config: StabilityConfig,
     *,
     direction: StabilityDirection = "winner",
-    rarity_depth: int | None = None,
-    ap_depth="cutoff",
-    matrix: ScoreMatrix | None = None,
 ) -> StabilityResult:
-    """How consistently pair orderings survive topic subsampling.
+    """How consistently pair orderings in ``matrix`` survive topic subsampling.
 
     Each trial samples ``sample_size`` topics without replacement and
     compares every system pair on the sampled means; an exact tie credits
@@ -535,10 +530,6 @@ def stability(
     """
     if direction not in ("winner", "fullset"):
         raise ConfigError(f"unknown stability direction {direction!r}")
-    if matrix is None:
-        matrix = evaluate_campaign(
-            campaign, [spec], rarity_depth=rarity_depth, ap_depth=ap_depth
-        )[0]
     systems = matrix.systems
     if len(systems) < 2:
         raise DataError("stability needs at least 2 systems")

@@ -28,7 +28,6 @@ of retrieved relevant documents grows.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from numbers import Real
@@ -37,7 +36,7 @@ from typing import Literal, Sequence
 from . import _numpy as np
 from .campaign import _BLOCK_SLOTS, _blocks, _midranks, _SubsetScorer
 from .errors import ConfigError, DataError, FormatError
-from .metrics import MetricConfig, MetricSpec
+from .metrics import MetricSpec
 from .rarity import check_cells, is_depth, relevant_counts
 from .rng import DEFAULT_SEED, check_seed, substream
 from .trec_io import Campaign, Qrels, Run, RunColumns, Vocabulary, intern
@@ -227,14 +226,14 @@ def rank_trajectory(
     campaign: Campaign,
     kind: HypotheticalKind,
     topic: str,
-    alphas: Sequence[float],
+    specs: Sequence[MetricSpec],
     d_max: int,
-    config: MetricConfig | None = None,
     *,
     multi_topic: bool = False,
     rarity_depth: int | None = None,
 ) -> list[TrajectoryResult]:
-    """Track the probe system's midrank for each alpha and each D in 1..d_max.
+    """Track the probe system's midrank under each weighted P-family spec
+    (``p_rareness`` or ``p_mixture``) and each D in 1..d_max.
 
     The probe participates fully: it is added to the campaign, so it counts
     toward the system total and its retrievals enter the rarity counts. By
@@ -244,9 +243,9 @@ def rank_trajectory(
 
     The probe is built once, at ``d_max``, and probe D is its first D
     documents: step D scores the base systems plus probe D's row with one
-    subset scorer shared by every alpha, over the same S+1 systems a rebuilt
-    campaign would have, an alpha's steps in one block of row sets. The probe
-    is named ``hyp-<kind>``.
+    subset scorer at the deepest spec's cutoff, over the same S+1 systems a
+    rebuilt campaign would have, a spec's steps in one block of row sets.
+    The probe is named ``hyp-<kind>``.
     """
     if kind not in ("rare", "common"):
         raise ConfigError(f"unknown probe kind {kind!r} (expected 'rare' or 'common')")
@@ -256,14 +255,11 @@ def rank_trajectory(
     check_cells(d_max * systems, f"d_max {d_max} x {systems} systems with the probe")
     if topic not in campaign.qrels.judgments:
         raise DataError(f"topic {topic!r} is not judged in the qrels")
-    if config is None:
-        config = MetricConfig()
-    tag = f"hyp-{kind}"
-
-    kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
-    specs = [MetricSpec(kind_key, dataclasses.replace(config, alpha=float(a))) for a in alphas]
+    if bad := [spec.descriptor for spec in specs if spec.kind not in ("p_rareness", "p_mixture")]:
+        raise ConfigError(f"a trajectory tracks P@k_rareness or P@k_mixture, not {bad[0]}")
     if not specs:
         return []
+    tag = f"hyp-{kind}"
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
     if tag in base.system_ids:
         raise FormatError(f"duplicate system id {tag!r}")
@@ -281,7 +277,8 @@ def rank_trajectory(
     row = {system: i for i, system in enumerate(stacked.system_ids)}
     base_rows = [row[system] for system in base.system_ids]
     steps = np.array([base_rows + [row[run.system_id]] for run in probes])  # probe D last
-    scorer = _SubsetScorer(stacked, specs[0], rarity_depth=rarity_depth, ap_depth="cutoff")
+    deepest = max(specs, key=lambda spec: spec.config.cutoff)
+    scorer = _SubsetScorer(stacked, deepest, rarity_depth=rarity_depth, ap_depth="cutoff")
     blocks = list(_blocks(d_max, steps.shape[1] * scorer.width, _BLOCK_SLOTS))
     results = []
     for spec in specs:

@@ -177,21 +177,22 @@ class Run:
         columns = self.columns.get(topic)
         return () if columns is None else columns.docs
 
+    def _columns(self) -> dict[str, tuple]:  # per topic: doc-ids, scores, rank fields
+        return {t: (c.docs, c.scores.tolist(), c.rank_fields.tolist())
+                for t, c in self.columns.items()}
+
     @property
     def rankings(self) -> dict[str, tuple[RunEntry, ...]]:
-        """The rankings as ``RunEntry`` tuples; a new dict on each access."""
-        return {
-            topic: tuple(map(RunEntry, c.docs, c.scores.tolist(), c.rank_fields.tolist()))
-            for topic, c in self.columns.items()
-        }
+        """Per topic, ``RunEntry`` tuples; no command reads it, perfbench and tests do."""
+        return {topic: tuple(map(RunEntry, *view)) for topic, view in self._columns().items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Run):
             return NotImplemented
-        return self.system_id == other.system_id and self.rankings == other.rankings
+        return self.system_id == other.system_id and self._columns() == other._columns()
 
     def __repr__(self) -> str:
-        return f"Run(system_id={self.system_id!r}, rankings={self.rankings!r})"
+        return f"Run(system_id={self.system_id!r}, columns={self._columns()!r})"
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,9 @@ class Qrels:
     def is_relevant(self, topic: str, doc: str) -> bool:
         return doc in self.relevant(topic)
 
-    def with_added(self, topic: str, docs: Iterable[str], grade: int | None = None) -> "Qrels":
-        """A new Qrels with extra judged docs for ``topic`` (defaults to relevant)."""
-        if grade is None:
-            grade = self.relevance_threshold
+    def with_added(self, topic: str, docs: Iterable[str]) -> "Qrels":
+        """A new Qrels with ``docs`` judged relevant for ``topic``, at the threshold grade."""
+        grade = self.relevance_threshold
         judgments = {t: dict(d) for t, d in self.judgments.items()}
         into = judgments.setdefault(topic, {})
         for doc in docs:

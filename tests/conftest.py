@@ -81,6 +81,5 @@ def tiny_campaigns(draw):
 @st.composite
 def metric_specs(draw, kind):
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0])) if kind not in ("p", "ap") else 0.0
-    formulation = "mixture" if kind == "p_mixture" else "additive"
     variant = draw(st.sampled_from(["eq2", "revised"]))
-    return MetricSpec(kind, MetricConfig(draw(st.integers(1, 8)), alpha, variant, formulation))
+    return MetricSpec(kind, MetricConfig(draw(st.integers(1, 8)), alpha, variant))

@@ -127,13 +127,9 @@ def test_c2_oracle_equivalence():
                     oracles.naive_ap(list(docs), relevant, k, n_rel), abs=1e-12
                 )
                 for alpha, variant in itertools.product((0.0, 0.5, 1.0), ("eq2", "revised")):
-                    additive = MetricConfig(cutoff=k, alpha=alpha, rarity_variant=variant)
-                    mixture = MetricConfig(
-                        cutoff=k, alpha=alpha, rarity_variant=variant,
-                        formulation="mixture",
-                    )
+                    config = MetricConfig(cutoff=k, alpha=alpha, rarity_variant=variant)
                     assert p_at_k_rareness(
-                        docs, relevant, index, topic, additive
+                        docs, relevant, index, topic, config
                     ) == pytest.approx(
                         oracles.naive_p_at_k_rareness(
                             runs_docs, system, topic, relevant, k, alpha, variant
@@ -141,7 +137,7 @@ def test_c2_oracle_equivalence():
                         abs=1e-12,
                     )
                     assert ap_rareness(
-                        docs, relevant, index, topic, additive, n_rel
+                        docs, relevant, index, topic, config, n_rel
                     ) == pytest.approx(
                         oracles.naive_ap_rareness(
                             runs_docs, system, topic, relevant, k, alpha,
@@ -150,7 +146,7 @@ def test_c2_oracle_equivalence():
                         abs=1e-12,
                     )
                     assert p_at_k_mixture(
-                        docs, relevant, index, topic, mixture
+                        docs, relevant, index, topic, config
                     ) == pytest.approx(
                         oracles.naive_p_at_k_mixture(
                             runs_docs, system, topic, relevant, k, alpha, variant
@@ -183,10 +179,7 @@ def test_c3_bounds_suite():
             for run in campaign.runs:
                 for alpha in (0.0, 0.5, 1.0):
                     additive = MetricConfig(cutoff=10, alpha=alpha)
-                    mixture = MetricConfig(
-                        cutoff=10, alpha=alpha, rarity_variant="revised",
-                        formulation="mixture",
-                    )
+                    mixture = MetricConfig(cutoff=10, alpha=alpha, rarity_variant="revised")
                     docs = run.docs(topic)
                     assert p_at_k_rareness(docs, relevant, index, topic, additive) < 2.0
                     assert 0.0 <= p_at_k_mixture(docs, relevant, index, topic, mixture) <= 1.0
@@ -200,9 +193,7 @@ def test_c3_bounds_suite():
         index = build_rarity_index(campaign)
         relevant = campaign.qrels.relevant("t")
         additive = MetricConfig(cutoff=k, alpha=1.0)
-        mixture = MetricConfig(
-            cutoff=k, alpha=1.0, rarity_variant="revised", formulation="mixture"
-        )
+        mixture = MetricConfig(cutoff=k, alpha=1.0, rarity_variant="revised")
         for run in campaign.runs:
             value = p_at_k_rareness(run.docs("t"), relevant, index, "t", additive)
             assert value == pytest.approx((2 * s - 1) / s, abs=1e-12)
@@ -217,9 +208,8 @@ def test_c4_rare_probe_trajectories():
         SynthSpec(64, 4, 50, 1500, overlap_bias=0.6, run_depth=100, seed=101)
     )
     topic = campaign.judged_topics[0]
-    results = rank_trajectory(
-        campaign, "rare", topic, [0.0, 0.5, 1.0], 60, MetricConfig(cutoff=100)
-    )
+    specs = [MetricSpec.parse(f"P@100_rareness(alpha={a})") for a in (0.0, 0.5, 1.0)]
+    results = rank_trajectory(campaign, "rare", topic, specs, 60)
     d_star = {}
     for result in results:
         ranks = [rank for _, rank in result.ranks]
@@ -314,11 +304,10 @@ def test_c8_stability_protocol():
         qrels = Qrels({t: {"hit-" + t: 1} for t in topics})
         return Campaign([make_run("A", runs_a), make_run("B", runs_b)], qrels)
 
-    spec = MetricSpec.parse("P@1")
+    def p_at_1(campaign):
+        return evaluate_campaign(campaign, [MetricSpec.parse("P@1")])[0]
 
-    dominant = stability(
-        pair_campaign([1] * 6), spec, StabilityConfig(3, trials=300, seed=1)
-    )
+    dominant = stability(p_at_1(pair_campaign([1] * 6)), StabilityConfig(3, trials=300, seed=1))
     assert dominant.per_pair[("A", "B")] == 1.0
 
     identical = Campaign(
@@ -328,13 +317,13 @@ def test_c8_stability_protocol():
         ],
         Qrels({"t0": {"hit-t0": 1}, "t1": {"hit-t1": 1}}),
     )
-    same = stability(identical, spec, StabilityConfig(1, trials=300, seed=1))
+    same = stability(p_at_1(identical), StabilityConfig(1, trials=300, seed=1))
     assert same.per_pair[("A", "B")] == 0.5
 
     # Planted 7-of-10 winner, single-topic samples: the winning-side fraction
     # is wins/trials by construction; recount the substreams independently.
     config = StabilityConfig(1, trials=1000, seed=77)
-    planted = stability(pair_campaign([1] * 7 + [0] * 3), spec, config)
+    planted = stability(p_at_1(pair_campaign([1] * 7 + [0] * 3)), config)
     wins = 0.0
     for trial in range(config.trials):
         sampled = substream(config.seed, _STREAM_STABILITY, trial).choice(
@@ -348,7 +337,8 @@ def test_c8_stability_protocol():
         SynthSpec(10, 8, 12, 200, overlap_bias=0.5, run_depth=30, seed=21)
     )
     weighted = MetricSpec.parse("P@30_rareness(alpha=1)")
-    result = stability(campaign, weighted, StabilityConfig(4, trials=200, seed=13))
+    matrix = evaluate_campaign(campaign, [weighted])[0]
+    result = stability(matrix, StabilityConfig(4, trials=200, seed=13))
     assert 0.5 <= result.overall <= 1.0
     announce(8, "stability protocol")
 

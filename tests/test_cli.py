@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from rareval import (
     StabilityConfig,
     SubsetExperimentConfig,
     SynthSpec,
+    evaluate_campaign,
     generate_campaign,
     load_campaign,
     stability,
@@ -391,7 +393,8 @@ class TestSeedRange:
         with pytest.raises(ConfigError, match="seed"):
             substream(seed, 1)
         with pytest.raises(ConfigError, match="seed"):
-            stability(toy4, MetricSpec.parse("P@3"), StabilityConfig(1, trials=5, seed=seed))
+            stability(evaluate_campaign(toy4, [MetricSpec.parse("P@3")])[0],
+                      StabilityConfig(1, trials=5, seed=seed))
         with pytest.raises(ConfigError, match="seed"):
             subset_experiment(
                 toy4, MetricSpec.parse("P@3"), SubsetExperimentConfig(2, trials=5, seed=seed)
@@ -1005,6 +1008,90 @@ class TestFlagsBelowOne:
             capsys,
         )
         assert (code, out, err) == (2, "", f"error: --d-max must be >= 1, got {d_max}\n")
+
+
+class TestArgvGrammar:
+    """Any flags of a command's own parser, each with a valid, boundary, zero,
+    negative, empty, non-numeric, NaN, infinite or 2**64 value, end in exit 0,
+    1 or 2 with no traceback, and a non-zero exit in exactly one ``error:``
+    line (on exit 1 the last line, written by ``dispatch`` itself)."""
+
+    RUN = b"t1 Q0 d1 1 3.5 A\nt1 Q0 d2 2 2.0 A\nt2 Q0 d3 1 1.25 A\n"
+    OTHER = b"t1 Q0 d2 1 9.0 B\nt1 Q0 d4 2 8.0 B\nt2 Q0 d3 1 8.0 B\n"
+    QRELS = b"t1 0 d1 1\nt1 0 d2 2\nt1 0 d9 0\nt2 0 d3 1\nt2 0 d4 1\n"
+    # A valid and a boundary value of each flag that takes a value and has no
+    # choices; a flag missing here fails the test, so a new flag joins the grammar.
+    VALID = {
+        "runs": (["A.run", "B.run"], ["A.run"]), "qrels": (["qrels"], ["qrels"]),
+        "relevance_threshold": (["1"], ["2"]), "cutoff": (["3"], ["1"]),
+        "rarity_depth": (["3"], ["1"]), "alpha": (["0.5"], ["1"]),
+        "metric": (["P@3_rareness"], ["AP_rareness(alpha=1,rarity=revised)"]),
+        "alphas": (["0,0.5"], ["1"]), "seed": (["7"], [str(MAX_SEED)]),
+        "sample_size": (["1"], ["2"]), "trials": (["3"], ["1"]), "sizes": (["2"], ["2,2"]),
+        "systems": (["2"], ["1"]), "topics": (["2"], ["1"]), "relevant": (["2"], ["1"]),
+        "pool": (["6"], ["2"]), "bias": (["0.5"], ["1"]), "depth": (["3"], ["1"]),
+        "out": (["out"], ["out"]), "topic": (["t1"], ["t2"]), "d_max": (["2"], ["1"]),
+    }
+    VALUES = ["valid", "boundary", "0", "-1", "", "x", "nan", "inf", str(2**64)]
+    INPUTS = ["--runs", "A.run", "B.run", "--qrels", "qrels"]
+    BASE = {
+        "synth": ["--systems", "2", "--topics", "2", "--relevant", "2", "--pool", "6",
+                  "--depth", "3", "--out", "out"],
+        "stability": [*INPUTS, "--trials", "3"],
+        "subset": [*INPUTS, "--sizes", "2", "--trials", "3"],
+        "trajectory": [*INPUTS, "--kind", "rare", "--topic", "t1", "--d-max", "2"],
+    }
+
+    @staticmethod
+    def _flags():
+        """Each subcommand's optional arguments, read from its own parser."""
+        parser = rareval.cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+                for name, sub in commands.choices.items()}
+
+    def _argv(self, action, value) -> list[str]:
+        if action.nargs == 0:  # a switch takes no value
+            return [action.option_strings[0]]
+        if value in ("valid", "boundary"):
+            if action.choices:
+                values = [action.choices[0 if value == "valid" else -1]]
+            else:
+                values = self.VALID[action.dest][value == "boundary"]
+        else:
+            values = [value]
+        return [action.option_strings[0], *values]
+
+    def test_every_draw_exits_0_1_or_2_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path)  # relative paths, --out among them, land here
+        for name, data in (("A.run", self.RUN), ("B.run", self.OTHER), ("qrels", self.QRELS)):
+            (tmp_path / name).write_bytes(data)
+        flags = self._flags()
+        commands = sorted(flags)
+
+        @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            command = data.draw(st.sampled_from(commands))
+            drawn = data.draw(st.lists(
+                st.tuples(st.sampled_from(flags[command]), st.sampled_from(self.VALUES)),
+                min_size=1, max_size=3,
+            ))
+            argv = [command, *self.BASE.get(command, self.INPUTS)]
+            for action, value in drawn:
+                argv += self._argv(action, value)
+            capsys.readouterr()
+            code = dispatch(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, err)
+            assert "Traceback" not in err, (argv, err)
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == (code != 0), (argv, err)
+            if code == 1:
+                assert err.splitlines()[-1] == errors[0] and errors[0].startswith("error: ")
+
+        check()
 
 
 class TestImportFootprint:

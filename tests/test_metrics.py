@@ -103,12 +103,6 @@ class TestPAtKRareness:
                 assert value == pytest.approx((2 * s - 1) / s, abs=1e-12)
                 assert value < 2.0
 
-    def test_mixture_formulation_rejected(self, toy4_parts):
-        toy4, index, relevant = toy4_parts
-        config = MetricConfig(cutoff=3, alpha=0.5, formulation="mixture")
-        with pytest.raises(ConfigError, match="additive"):
-            p_at_k_rareness(toy4.run_for("B").docs("t1"), relevant, index, "t1", config)
-
     def test_count_depth_shallower_than_cutoff_surfaces_undefined_rarity(self, toy4):
         from rareval import UndefinedRarityError
 
@@ -188,7 +182,7 @@ class TestApRareness:
 class TestMixture:
     def test_alpha_zero_reverts_exactly(self, toy4_parts):
         toy4, index, relevant = toy4_parts
-        config = MetricConfig(cutoff=3, alpha=0.0, rarity_variant="revised", formulation="mixture")
+        config = MetricConfig(cutoff=3, alpha=0.0, rarity_variant="revised")
         for run in toy4.runs:
             docs = run.docs("t1")
             assert p_at_k_mixture(docs, relevant, index, "t1", config) == precision_at_k(
@@ -197,7 +191,7 @@ class TestMixture:
 
     def test_toy4_system_b_half(self, toy4_parts):
         toy4, index, relevant = toy4_parts
-        config = MetricConfig(cutoff=3, alpha=0.5, rarity_variant="revised", formulation="mixture")
+        config = MetricConfig(cutoff=3, alpha=0.5, rarity_variant="revised")
         value = p_at_k_mixture(toy4.run_for("B").docs("t1"), relevant, index, "t1", config)
         assert value == pytest.approx(0.5, abs=1e-15)
 
@@ -206,15 +200,15 @@ class TestMixture:
         judgments = {f"d{j}-{i}": 1 for j in range(4) for i in range(3)}
         campaign = Campaign(runs, Qrels({"t": judgments}))
         index = build_rarity_index(campaign)
-        config = MetricConfig(cutoff=3, alpha=1.0, rarity_variant="revised", formulation="mixture")
+        config = MetricConfig(cutoff=3, alpha=1.0, rarity_variant="revised")
         for run in campaign.runs:
             assert p_at_k_mixture(
                 run.docs("t"), campaign.qrels.relevant("t"), index, "t", config
             ) == 1.0
 
     def test_alpha_out_of_range(self, toy4_parts):
-        with pytest.raises(ConfigError):
-            MetricConfig(cutoff=3, alpha=1.5, formulation="mixture")
+        with pytest.raises(ConfigError, match=r"mixture formulation needs alpha in \[0, 1\]"):
+            MetricSpec("p_mixture", MetricConfig(cutoff=3, alpha=1.5))
 
 
 class TestConfigValidation:
@@ -239,12 +233,37 @@ class TestConfigValidation:
         assert MetricConfig(cutoff=np.int64(3)).cutoff == 3
 
     def test_additive_alpha_above_one_warns_but_works(self):
-        with pytest.warns(UserWarning, match="recommended"):
+        for kind in ("p_rareness", "ap_rareness"):
+            with pytest.warns(UserWarning, match="recommended"):
+                spec = MetricSpec(kind, MetricConfig(alpha=2.5))
+            assert spec.config.alpha == 2.5
+
+    # The kind names the formula, so only the additive kinds warn; a bare
+    # config has no kind and so no formula to warn about.
+    @pytest.mark.parametrize("kind", [None, "p", "ap"])
+    def test_alpha_above_one_is_silent_without_an_additive_kind(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             config = MetricConfig(alpha=2.5)
-        assert config.alpha == 2.5
+            if kind is not None:
+                MetricSpec(kind, config)
+
+    @pytest.mark.parametrize(
+        "score",
+        [
+            pytest.param(p_at_k_rareness, id="p_at_k_rareness"),
+            pytest.param(lambda *cell: ap_rareness(*cell, n_relevant=3), id="ap_rareness"),
+        ],
+    )
+    def test_the_per_cell_additive_functions_warn_above_one(self, toy4_parts, score):
+        toy4, index, relevant = toy4_parts
+        docs = toy4.run_for("B").docs("t1")
+        with pytest.warns(UserWarning, match=re.escape("alpha=2.0 > 1 exceeds")):
+            score(docs, relevant, index, "t1", MetricConfig(cutoff=3, alpha=2.0))
 
 
 class TestInvariants:
+    @pytest.mark.filterwarnings("ignore:alpha=2.0 > 1:UserWarning")
     def test_monotone_in_alpha(self):
         for campaign in random_campaigns(range(6)):
             index = build_rarity_index(campaign)
@@ -255,9 +274,7 @@ class TestInvariants:
                 docs = run.docs(topic)
                 previous_p = previous_ap = -1.0
                 for alpha in (0.0, 0.25, 0.5, 1.0, 2.0):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        config = MetricConfig(cutoff=5, alpha=alpha)
+                    config = MetricConfig(cutoff=5, alpha=alpha)
                     p = p_at_k_rareness(docs, relevant, index, topic, config)
                     assert p >= previous_p
                     previous_p = p
@@ -278,10 +295,7 @@ class TestInvariants:
                     for alpha in (0.0, 0.5, 1.0):
                         k = 5
                         add = MetricConfig(cutoff=k, alpha=alpha)
-                        mix = MetricConfig(
-                            cutoff=k, alpha=alpha, rarity_variant="revised",
-                            formulation="mixture",
-                        )
+                        mix = MetricConfig(cutoff=k, alpha=alpha, rarity_variant="revised")
                         p = p_at_k_rareness(docs, relevant, index, topic, add)
                         assert 0.0 <= p <= 1 + alpha * (s - 1) / s + 1e-12
                         pm = p_at_k_mixture(docs, relevant, index, topic, mix)
@@ -327,13 +341,9 @@ class TestOracleEquivalence:
                     system = run.system_id
                     for alpha in (0.0, 0.5, 1.0):
                         for variant in ("eq2", "revised"):
-                            add = MetricConfig(cutoff=k, alpha=alpha, rarity_variant=variant)
-                            mix = MetricConfig(
-                                cutoff=k, alpha=alpha, rarity_variant=variant,
-                                formulation="mixture",
-                            )
+                            config = MetricConfig(cutoff=k, alpha=alpha, rarity_variant=variant)
                             assert p_at_k_rareness(
-                                docs, relevant, index, topic, add
+                                docs, relevant, index, topic, config
                             ) == pytest.approx(
                                 oracles.naive_p_at_k_rareness(
                                     runs_docs, system, topic, relevant, k, alpha, variant
@@ -341,7 +351,7 @@ class TestOracleEquivalence:
                                 abs=1e-12,
                             )
                             assert p_at_k_mixture(
-                                docs, relevant, index, topic, mix
+                                docs, relevant, index, topic, config
                             ) == pytest.approx(
                                 oracles.naive_p_at_k_mixture(
                                     runs_docs, system, topic, relevant, k, alpha, variant
@@ -350,7 +360,7 @@ class TestOracleEquivalence:
                             )
                             if n_rel:
                                 assert ap_rareness(
-                                    docs, relevant, index, topic, add, n_rel
+                                    docs, relevant, index, topic, config, n_rel
                                 ) == pytest.approx(
                                     oracles.naive_ap_rareness(
                                         runs_docs, system, topic, relevant, k,
@@ -445,7 +455,7 @@ class TestMetricSpecParsing:
     def test_mixture_parses_to_mixture_formulation(self):
         spec = MetricSpec.parse("P@50_mixture(alpha=0.3)")
         assert spec.kind == "p_mixture"
-        assert spec.config.formulation == "mixture"
+        assert spec.descriptor == "P@50_mixture(alpha=0.3,rarity=eq2)"
 
     def test_unknown_names_list_valid_patterns(self):
         for bad in ("NDCG@10", "AP@100", "P@100_idf", "AP_mixture"):

@@ -26,6 +26,7 @@ from rareval import (
     kendall_tau,
     mean_scores,
     rank_systems,
+    rank_trajectory,
     stability,
     studentized_range_cdf,
     studentized_range_quantile,
@@ -356,17 +357,15 @@ class TestStability:
 
     def test_dominant_pair_scores_one(self):
         campaign = self._pair_campaign([1] * 6, [0] * 6)
-        result = stability(
-            campaign, MetricSpec.parse("P@1"), StabilityConfig(3, trials=200, seed=1)
-        )
+        matrix = evaluate_campaign(campaign, [MetricSpec.parse("P@1")])[0]
+        result = stability(matrix, StabilityConfig(3, trials=200, seed=1))
         assert result.per_pair[("A", "B")] == 1.0
         assert result.overall == 1.0
 
     def test_identical_pair_scores_half(self):
         campaign = self._pair_campaign([1, 0, 1, 0], [1, 0, 1, 0])
-        result = stability(
-            campaign, MetricSpec.parse("P@1"), StabilityConfig(2, trials=150, seed=1)
-        )
+        matrix = evaluate_campaign(campaign, [MetricSpec.parse("P@1")])[0]
+        result = stability(matrix, StabilityConfig(2, trials=150, seed=1))
         assert result.per_pair[("A", "B")] == 0.5
 
     def test_planted_seventy_percent_pair(self):
@@ -374,7 +373,7 @@ class TestStability:
         # draw from those win probabilities.
         campaign = self._pair_campaign([1] * 7 + [0] * 3, [0] * 7 + [1] * 3)
         config = StabilityConfig(1, trials=1000, seed=77)
-        result = stability(campaign, MetricSpec.parse("P@1"), config)
+        result = stability(evaluate_campaign(campaign, [MetricSpec.parse("P@1")])[0], config)
         # Independent recount of the same substreams.
         wins = 0.0
         for trial in range(config.trials):
@@ -386,29 +385,30 @@ class TestStability:
 
     def test_overall_within_bounds_and_relabel_invariant(self, hetero_campaign):
         spec = MetricSpec.parse("P@30_rareness(alpha=1)")
-        result = stability(hetero_campaign, spec, StabilityConfig(4, trials=80, seed=5))
+        matrix = evaluate_campaign(hetero_campaign, [spec])[0]
+        result = stability(matrix, StabilityConfig(4, trials=80, seed=5))
         assert 0.5 <= result.overall <= 1.0
         relabeled = Campaign(
             [make_run(f"zz-{r.system_id}", {t: list(r.docs(t)) for t in r.rankings})
              for r in hetero_campaign.runs],
             hetero_campaign.qrels,
         )
-        again = stability(relabeled, spec, StabilityConfig(4, trials=80, seed=5))
+        again = stability(
+            evaluate_campaign(relabeled, [spec])[0], StabilityConfig(4, trials=80, seed=5)
+        )
         assert again.overall == result.overall
 
     def test_sample_size_exceeding_topics(self, hetero_campaign):
+        matrix = evaluate_campaign(hetero_campaign, [MetricSpec.parse("P@30")])[0]
         with pytest.raises(DataError, match="exceeds"):
-            stability(
-                hetero_campaign, MetricSpec.parse("P@30"), StabilityConfig(99, trials=10)
-            )
+            stability(matrix, StabilityConfig(99, trials=10))
 
     def test_fullset_direction_tracks_fullset_winner(self):
         campaign = self._pair_campaign([1] * 7 + [0] * 3, [0] * 7 + [1] * 3)
         config = StabilityConfig(1, trials=400, seed=3)
-        winner = stability(campaign, MetricSpec.parse("P@1"), config)
-        fullset = stability(
-            campaign, MetricSpec.parse("P@1"), config, direction="fullset"
-        )
+        matrix = evaluate_campaign(campaign, [MetricSpec.parse("P@1")])[0]
+        winner = stability(matrix, config)
+        fullset = stability(matrix, config, direction="fullset")
         # A is the full-set winner here, so the two notions coincide.
         assert fullset.per_pair == winner.per_pair
 
@@ -433,8 +433,9 @@ class TestStability:
         }
         campaign = Campaign([make_run("A", run_a), make_run("B", run_b)], qrels)
         config = StabilityConfig(1, trials=600, seed=11)
-        fullset = stability(campaign, MetricSpec.parse("P@4"), config, direction="fullset")
-        winner = stability(campaign, MetricSpec.parse("P@4"), config)
+        matrix = evaluate_campaign(campaign, [MetricSpec.parse("P@4")])[0]
+        fullset = stability(matrix, config, direction="fullset")
+        winner = stability(matrix, config)
         assert fullset.per_pair[("A", "B")] < 0.5 < winner.per_pair[("A", "B")]
 
 
@@ -478,8 +479,8 @@ def _matrix(values, skipped) -> ScoreMatrix:
 
 def _assert_matches_serial_loop(values, skipped, sample_size, trials, seed, direction):
     result = stability(
-        None, None, StabilityConfig(sample_size, trials=trials, seed=seed),
-        direction=direction, matrix=_matrix(values, skipped),
+        _matrix(values, skipped), StabilityConfig(sample_size, trials=trials, seed=seed),
+        direction=direction,
     )
     usable = [j for j in range(values.shape[1]) if j not in skipped]
     per_pair, overall = oracles.naive_stability(
@@ -806,11 +807,10 @@ class TestSubsetExperiment:
             == subset_experiment(hetero_campaign, base, config).mean_tau
         )
         stab_cfg = StabilityConfig(4, trials=50, seed=8)
-        assert (
-            stability(hetero_campaign, zero, stab_cfg).per_pair
-            == stability(hetero_campaign, base, stab_cfg).per_pair
-        )
         matrices = evaluate_campaign(hetero_campaign, [zero, base])
+        assert (
+            stability(matrices[0], stab_cfg).per_pair == stability(matrices[1], stab_cfg).per_pair
+        )
         assert discriminative_power(matrices[0], 0.95) == discriminative_power(
             matrices[1], 0.95
         )
@@ -822,13 +822,13 @@ _COUNT_DEPTH_ENTRIES = {
     "evaluate_campaign": lambda c, d: evaluate_campaign(
         c, [MetricSpec.parse("P@3")], rarity_depth=d
     ),
-    "stability": lambda c, d: stability(
-        c, MetricSpec.parse("P@3"), StabilityConfig(1, trials=5), rarity_depth=d
-    ),
     "subset_experiment": lambda c, d: subset_experiment(
         c, MetricSpec.parse("P@3"), SubsetExperimentConfig(2, trials=5), rarity_depth=d
     ),
     "build_rarity_index": build_rarity_index,
+    "rank_trajectory": lambda c, d: rank_trajectory(
+        c, "rare", "t1", [MetricSpec.parse("P@3_rareness")], 2, rarity_depth=d
+    ),
 }
 
 
@@ -844,9 +844,6 @@ def test_nonpositive_count_depth_rejected_by_every_entry(toy4, entry, depth):
 # that rejects a depth below 1, naming the value's repr.
 _DEPTH_ENTRIES = {
     "evaluate_campaign": lambda c, spec, **depth: evaluate_campaign(c, [spec], **depth),
-    "stability": lambda c, spec, **depth: stability(
-        c, spec, StabilityConfig(1, trials=5), **depth
-    ),
     "subset_experiment": lambda c, spec, **depth: subset_experiment(
         c, spec, SubsetExperimentConfig(2, trials=5), **depth
     ),

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 
@@ -272,14 +271,14 @@ class TestRankTrajectory:
     def test_a_d_max_past_the_cell_budget_is_a_config_error_naming_it(self, traj_campaign, kind):
         d_max = CELL_BUDGET // 13 + 1  # 12 systems and the probe
         message = f"^d_max {d_max} x 13 systems with the probe exceeds the budget of "
+        topic = traj_campaign.judged_topics[0]
         with pytest.raises(ConfigError, match=message):
-            rank_trajectory(traj_campaign, kind, traj_campaign.judged_topics[0], [1.0], d_max)
+            rank_trajectory(traj_campaign, kind, topic, specs_at([1.0]), d_max)
 
     def test_rare_trajectories_monotone_and_orderly(self, traj_campaign):
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
         results = rank_trajectory(
-            traj_campaign, "rare", topic, [0.0, 0.5, 1.0], 30, config
+            traj_campaign, "rare", topic, specs_at([0.0, 0.5, 1.0], cutoff=40), 30
         )
         d_stars = []
         for result in results:
@@ -292,9 +291,8 @@ class TestRankTrajectory:
 
     def test_common_trajectory_monotone(self, traj_campaign):
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
         results = rank_trajectory(
-            traj_campaign, "common", topic, [0.0, 1.0], 10, config
+            traj_campaign, "common", topic, specs_at([0.0, 1.0], cutoff=40), 10
         )
         for result in results:
             ranks = [rank for _, rank in result.ranks]
@@ -304,15 +302,14 @@ class TestRankTrajectory:
         # With no rarity weight, only the number of relevant docs matters,
         # so both probes trace identical rank curves.
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
-        rare = rank_trajectory(traj_campaign, "rare", topic, [0.0], 8, config)[0]
-        common = rank_trajectory(traj_campaign, "common", topic, [0.0], 8, config)[0]
+        specs = specs_at([0.0], cutoff=40)
+        rare = rank_trajectory(traj_campaign, "rare", topic, specs, 8)[0]
+        common = rank_trajectory(traj_campaign, "common", topic, specs, 8)[0]
         assert rare.ranks == common.ranks
 
     def test_d_star_none_when_top_is_out_of_reach(self, traj_campaign):
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
-        result = rank_trajectory(traj_campaign, "rare", topic, [1.0], 2, config)[0]
+        result = rank_trajectory(traj_campaign, "rare", topic, specs_at([1.0], cutoff=40), 2)[0]
         assert result.d_star is None
 
     def test_positive_alpha_beats_own_alpha_zero_score(self, traj_campaign):
@@ -328,33 +325,70 @@ class TestRankTrajectory:
 
     def test_unjudged_topic_rejected(self, traj_campaign):
         with pytest.raises(DataError, match="not judged"):
-            rank_trajectory(traj_campaign, "rare", "no-such-topic", [0.0], 3)
+            rank_trajectory(traj_campaign, "rare", "no-such-topic", specs_at([0.0]), 3)
 
     def test_bad_kind_rejected(self, traj_campaign):
         topic = traj_campaign.judged_topics[0]
         with pytest.raises(ConfigError, match="probe kind"):
-            rank_trajectory(traj_campaign, "novel", topic, [0.0], 3)
+            rank_trajectory(traj_campaign, "novel", topic, specs_at([0.0]), 3)
+
+    @pytest.mark.parametrize("name", ["P@10", "AP", "AP_rareness(alpha=0.5,rarity=eq2)"])
+    def test_a_spec_outside_the_weighted_p_family_is_a_config_error(self, traj_campaign, name):
+        topic = traj_campaign.judged_topics[0]
+        specs = [*specs_at([0.5]), MetricSpec.parse(name, default_cutoff=10)]
+        message = rf"^a trajectory tracks P@k_rareness or P@k_mixture, not {re.escape(name)}"
+        with pytest.raises(ConfigError, match=message):
+            rank_trajectory(traj_campaign, "rare", topic, specs, 3)
+
+    def test_no_specs_track_nothing(self, traj_campaign):
+        topic = traj_campaign.judged_topics[0]
+        assert rank_trajectory(traj_campaign, "rare", topic, [], 3) == []
+
+    @pytest.mark.parametrize("rarity_depth", ["2", 1.5, True, "cutoff"])
+    def test_a_rarity_depth_of_the_wrong_type_is_rejected_naming_it(
+        self, traj_campaign, rarity_depth
+    ):
+        topic = traj_campaign.judged_topics[0]
+        message = re.escape(f"got {rarity_depth!r}") + "$"
+        with pytest.raises(DataError, match=message):
+            rank_trajectory(
+                traj_campaign, "rare", topic, specs_at([0.5]), 3, rarity_depth=rarity_depth
+            )
+
+    @pytest.mark.parametrize("kind", ["rare", "common"])
+    def test_results_follow_the_specs_and_each_equals_its_own_trajectory(
+        self, traj_campaign, kind
+    ):
+        # One scorer at the deepest cutoff serves specs of both kinds and
+        # several cutoffs; each result is the one its spec alone would give.
+        topic = traj_campaign.judged_topics[0]
+        names = ["P@5_mixture(alpha=0.5)", "P@30_rareness(alpha=1)", "P@10_rareness(alpha=0)"]
+        specs = [MetricSpec.parse(name) for name in names]
+        together = rank_trajectory(traj_campaign, kind, topic, specs, 6)
+        alone = [rank_trajectory(traj_campaign, kind, topic, [spec], 6)[0] for spec in specs]
+        assert together == alone
+        assert [result.alpha for result in together] == [0.5, 1.0, 0.0]
 
     def test_multi_topic_mean_trajectory(self, traj_campaign):
         # The probe submits one topic; on the other topic it scores zero, so
         # its multi-topic mean (and thus rank) trails the single-topic one.
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=40)
-        single = rank_trajectory(traj_campaign, "rare", topic, [1.0], 5, config)[0]
-        multi = rank_trajectory(
-            traj_campaign, "rare", topic, [1.0], 5, config, multi_topic=True
-        )[0]
+        specs = specs_at([1.0], cutoff=40)
+        single = rank_trajectory(traj_campaign, "rare", topic, specs, 5)[0]
+        multi = rank_trajectory(traj_campaign, "rare", topic, specs, 5, multi_topic=True)[0]
         assert all(m >= s for (_, s), (_, m) in zip(single.ranks, multi.ranks))
 
 
-def rebuilt_trajectory_ranks(campaign, kind, topic, alphas, d_max, config, *,
-                             multi_topic, rarity_depth):
-    """Ranks from a fresh probe, campaign and evaluation per (alpha, D)."""
+def specs_at(alphas, cutoff=100, variant="eq2", kind="p_rareness"):
+    """Trajectory specs of ``kind`` at one cutoff and variant, one per alpha."""
+    return [MetricSpec(kind, MetricConfig(cutoff, alpha, variant)) for alpha in alphas]
+
+
+def rebuilt_trajectory_ranks(campaign, kind, topic, specs, d_max, *, multi_topic, rarity_depth):
+    """Ranks from a fresh probe, campaign and evaluation per (spec, D)."""
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
-    kind_key = "p_mixture" if config.formulation == "mixture" else "p_rareness"
     out = []
-    for alpha in alphas:
-        spec = MetricSpec(kind_key, dataclasses.replace(config, alpha=alpha))
+    for spec in specs:
         ranks = []
         for d in range(1, d_max + 1):
             if kind == "rare":
@@ -378,15 +412,12 @@ class TestTrajectoryMatchesRebuild:
     ):
         # The cutoff stays within the count depth, so every scored hit has a rarity.
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=12)
         alphas = [0.0, 0.5, 1.0, 3.0]
+        with pytest.warns(UserWarning, match="recommended"):
+            specs = specs_at(alphas, cutoff=12)
         options = dict(multi_topic=multi_topic, rarity_depth=rarity_depth)
-        with pytest.warns(UserWarning, match="recommended"):
-            results = rank_trajectory(traj_campaign, kind, topic, alphas, 8, config, **options)
-        with pytest.warns(UserWarning, match="recommended"):
-            expected = rebuilt_trajectory_ranks(
-                traj_campaign, kind, topic, alphas, 8, config, **options
-            )
+        results = rank_trajectory(traj_campaign, kind, topic, specs, 8, **options)
+        expected = rebuilt_trajectory_ranks(traj_campaign, kind, topic, specs, 8, **options)
         assert [r.alpha for r in results] == alphas
         assert [r.ranks for r in results] == expected
         assert [r.d_star for r in results] == [
@@ -395,7 +426,7 @@ class TestTrajectoryMatchesRebuild:
 
 
 class TestTrajectoryBlocks:
-    """An alpha's D steps scored as blocks of row sets rank as one step at a
+    """A spec's D steps scored as blocks of row sets rank as one step at a
     time does, whatever the block size."""
 
     @pytest.mark.parametrize("steps_per_block", [None, 1, 3])
@@ -407,8 +438,8 @@ class TestTrajectoryBlocks:
         import rareval.synth
 
         topic = traj_campaign.judged_topics[0]
-        config = MetricConfig(cutoff=12)
-        alphas, d_max = [0.0, 0.25, 1.0], 8  # at three steps a block, the last holds two
+        # At three steps a block, the last holds two.
+        specs, d_max = specs_at([0.0, 0.25, 1.0], cutoff=12), 8
         calls = []
         spy = rareval.synth._SubsetScorer.subset_means
         monkeypatch.setattr(
@@ -418,34 +449,32 @@ class TestTrajectoryBlocks:
         if steps_per_block is not None:
             # Step D's rows are the 12 base systems and probe D, and no row
             # hits more docs than the cutoff.
-            width = config.cutoff
+            width = 12  # the cutoff
             monkeypatch.setattr(rareval.synth, "_BLOCK_SLOTS", steps_per_block * 13 * width)
             monkeypatch.setattr(
                 rareval.synth, "_SubsetScorer", _fixed_width(rareval.synth._SubsetScorer, width)
             )
         options = dict(multi_topic=False, rarity_depth=rarity_depth)
-        results = rank_trajectory(traj_campaign, kind, topic, alphas, d_max, config, **options)
-        expected = rebuilt_trajectory_ranks(
-            traj_campaign, kind, topic, alphas, d_max, config, **options
-        )
+        results = rank_trajectory(traj_campaign, kind, topic, specs, d_max, **options)
+        expected = rebuilt_trajectory_ranks(traj_campaign, kind, topic, specs, d_max, **options)
         assert [r.ranks for r in results] == expected
         blocks = [shape[0] for shape in calls]
-        assert sum(blocks) == len(alphas) * d_max
+        assert sum(blocks) == len(specs) * d_max
         if steps_per_block is not None:
             assert max(blocks) == steps_per_block
         else:
-            assert blocks == [d_max] * len(alphas)  # each alpha's steps in one call
+            assert blocks == [d_max] * len(specs)  # each spec's steps in one call
 
     def test_an_undefined_rarity_raises_as_its_step_alone(self, traj_campaign):
         # Probe D's docs are fresh: at D = 5 its last hit lies below count
         # depth 4, while every base system's hits within P@5 are counted.
         topic = traj_campaign.judged_topics[1]
-        config = MetricConfig(cutoff=5)
+        specs = specs_at([0.5], cutoff=5)
         options = dict(multi_topic=False, rarity_depth=4)
         with pytest.raises(UndefinedRarityError) as expected:
-            rebuilt_trajectory_ranks(traj_campaign, "rare", topic, [0.5], 6, config, **options)
+            rebuilt_trajectory_ranks(traj_campaign, "rare", topic, specs, 6, **options)
         with pytest.raises(UndefinedRarityError) as raised:
-            rank_trajectory(traj_campaign, "rare", topic, [0.5], 6, config, **options)
+            rank_trajectory(traj_campaign, "rare", topic, specs, 6, **options)
         assert str(raised.value) == str(expected.value)
         assert "'hyp-rare-0004'" in str(raised.value)
 
@@ -482,32 +511,32 @@ class TestTrajectoryProperties:
     @given(
         campaign=tiny_campaigns(),
         kind=st.sampled_from(["rare", "common"]),
-        formulation=st.sampled_from(["additive", "mixture"]),
+        metric=st.sampled_from(["p_rareness", "p_mixture"]),
         variant=st.sampled_from(["eq2", "revised"]),
         multi_topic=st.booleans(),
         rarity_depth=st.none() | st.integers(1, 4),
-        cutoff=st.integers(1, 6),
         d_max=st.integers(1, 3),
-        alphas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3),
+        alpha_cutoffs=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(1, 6)),
+            min_size=1, max_size=3,
+        ),
     )
     def test_equals_a_rebuild_per_alpha_and_d(
-        self, campaign, kind, formulation, variant, multi_topic, rarity_depth,
-        cutoff, d_max, alphas,
+        self, campaign, kind, metric, variant, multi_topic, rarity_depth, d_max, alpha_cutoffs,
     ):
-        config = MetricConfig(cutoff, 0.0, variant, formulation)
+        # Specs may differ in cutoff: one scorer at the deepest serves them all.
+        specs = [MetricSpec(metric, MetricConfig(k, a, variant)) for a, k in alpha_cutoffs]
         topic = campaign.judged_topics[0]
         options = dict(multi_topic=multi_topic, rarity_depth=rarity_depth)
         try:
-            expected = rebuilt_trajectory_ranks(
-                campaign, kind, topic, alphas, d_max, config, **options
-            )
+            expected = rebuilt_trajectory_ranks(campaign, kind, topic, specs, d_max, **options)
         except DataError:
             # Both fail, though not necessarily with the same message: the
             # trajectory checks a common probe's d_max before it scores.
             with pytest.raises(DataError):
-                rank_trajectory(campaign, kind, topic, alphas, d_max, config, **options)
+                rank_trajectory(campaign, kind, topic, specs, d_max, **options)
             return
-        results = rank_trajectory(campaign, kind, topic, alphas, d_max, config, **options)
+        results = rank_trajectory(campaign, kind, topic, specs, d_max, **options)
         assert [r.ranks for r in results] == expected
         assert [r.d_star for r in results] == [
             next((d for d, rank in ranks if rank == 1.0), None) for ranks in expected
@@ -516,7 +545,7 @@ class TestTrajectoryProperties:
     def test_base_system_named_like_the_probe_rejected(self, toy4):
         campaign = Campaign([*toy4.runs, make_run("hyp-rare", {"t1": ["d2"]})], toy4.qrels)
         with pytest.raises(FormatError, match="duplicate system id 'hyp-rare'"):
-            rank_trajectory(campaign, "rare", "t1", [0.0], 3)
+            rank_trajectory(campaign, "rare", "t1", specs_at([0.0]), 3)
 
     def test_known_docs_are_scanned_once(self, traj_campaign, monkeypatch):
         import rareval.synth
@@ -526,7 +555,8 @@ class TestTrajectoryProperties:
         monkeypatch.setattr(
             rareval.synth, "_fresh_doc_ids", lambda *a: calls.append(a[2]) or fresh(*a)
         )
-        rank_trajectory(traj_campaign, "rare", traj_campaign.judged_topics[0], [0.0, 1.0], 6)
+        topic = traj_campaign.judged_topics[0]
+        rank_trajectory(traj_campaign, "rare", topic, specs_at([0.0, 1.0]), 6)
         assert calls == [6]  # the probe's ids, made once at d_max
 
     @pytest.mark.parametrize("kind", ["rare", "common"])
@@ -539,5 +569,5 @@ class TestTrajectoryProperties:
             rareval.synth, "_SubsetScorer", lambda *a, **kw: built.append(1) or scorer(*a, **kw)
         )
         topic = traj_campaign.judged_topics[0]
-        rank_trajectory(traj_campaign, kind, topic, [0.0, 0.5, 1.0], 4)
+        rank_trajectory(traj_campaign, kind, topic, specs_at([0.0, 0.5, 1.0]), 4)
         assert len(built) == 1

@@ -168,6 +168,23 @@ class TestParseRun:
         run.rankings["t1"] = ()  # a copy: the run is unchanged
         assert run.docs("t1") == ("d2", "d1")
 
+    def test_equality_compares_every_column_and_repr_shows_them(self):
+        text = "t1 Q0 d1 7 2.5 A\nt1 Q0 d2 3 9.0 A\nt2 Q0 d1 1 1.0 A\n"
+        run = run_of(text)
+        assert run == run_of(text)
+        for other in (
+            text.replace("d2 3", "d3 3"),  # a doc-id
+            text.replace("9.0", "9.5"),  # a score
+            text.replace("d2 3", "d2 4"),  # a rank field
+            text.replace("t2 Q0", "t3 Q0"),  # a topic
+            text.replace(" A\n", " B\n"),  # the system id
+        ):
+            assert run != run_of(other)
+        assert repr(run) == (
+            "Run(system_id='A', columns={'t1': (('d2', 'd1'), [9.0, 2.5], [3, 7]), "
+            "'t2': (('d1',), [1.0], [1])})"
+        )
+
 
 class TestParseQrels:
     def test_threshold_one(self):
@@ -210,6 +227,15 @@ class TestParseQrels:
             qrels.relevance_threshold = 2
         assert qrels.with_added("t9", ["d2"]).relevant("t9") == {"d2"}
         assert qrels.relevant("t9") == frozenset()
+
+    def test_added_docs_are_judged_at_the_threshold_grade(self):
+        qrels = qrels_of("t1 0 d1 2\nt1 0 d2 1\n", relevance_threshold=2)
+        added = qrels.with_added("t1", ["d3", "d1"])
+        assert (added.grade("t1", "d3"), added.grade("t1", "d1")) == (2, 2)
+        assert added.relevant("t1") == {"d1", "d3"}
+        assert qrels.relevant("t1") == {"d1"}
+        with pytest.raises(FormatError, match=re.escape("(t1, d2): 1 vs 2")):
+            qrels.with_added("t1", ["d2"])
 
 
 class TestUndecodableInput:

@@ -75,12 +75,6 @@ class SystemRanking:
     def ranks_by_system(self) -> dict[str, float]:
         return {e.system_id: e.rank for e in self.entries}
 
-    def rank_of(self, system_id: str) -> float:
-        for entry in self.entries:
-            if entry.system_id == system_id:
-                return entry.rank
-        raise DataError(f"no system {system_id!r} in this ranking")
-
 
 class _SubsetScorer:
     """The one loop that scores a campaign: rows of its systems, one hit table
@@ -96,13 +90,13 @@ class _SubsetScorer:
         if not campaign.judged_topics:
             raise DataError("campaign has no judged topics")
         self.spec, self.rarity_depth, self.ap_depth = spec, rarity_depth, ap_depth
-        self.runs = sorted(campaign.runs, key=lambda run: run.system_id)
+        runs = sorted(campaign.runs, key=lambda run: run.system_id)
         self.topics = campaign.judged_topics
         self.n_rel = [campaign.qrels.n_relevant(t) for t in self.topics]
         self.bound = metric_bound(spec, ap_depth)
         self.ids, no_docs = campaign.vocab.ids, np.zeros(0, np.int32)
         self.codes = [  # per topic, each row's ranking as codes into ``campaign.vocab``
-            [no_docs if (c := run.columns.get(t)) is None else c.codes for run in self.runs]
+            [no_docs if (c := run.columns.get(t)) is None else c.codes for run in runs]
             for t in self.topics
         ]
         is_relevant = np.zeros(len(self.ids), dtype=bool)

@@ -173,6 +173,13 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer in 0..{MAX_SEED}, got {text!r}")
 
 
+def _path(text: str) -> str:
+    """A ``--runs`` or ``--qrels`` value; an empty one is not the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path or '-', got an empty value")
+    return text
+
+
 def _alpha_grid(text: str) -> list[float]:
     return _tokens(text, "--alphas", float, "numbers")
 
@@ -407,10 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument(
-        "--runs", nargs="+", required=True,
+        "--runs", nargs="+", required=True, type=_path,
         help="run files, directories of run files, or '-' for stdin",
     )
-    inputs.add_argument("--qrels", required=True, help="qrels file, or '-' for stdin")
+    inputs.add_argument("--qrels", required=True, type=_path,
+                        help="qrels file, or '-' for stdin")
     inputs.add_argument("--dedup", choices=["reject", "first"], default="reject")
     inputs.add_argument("--order", choices=["score", "rank-field"], default="score")
     inputs.add_argument("--relevance-threshold", type=int, default=1)

@@ -14,11 +14,10 @@ class RarevalError(Exception):
 class ParseError(RarevalError):
     """A malformed input line (wrong field count, bad number, ...)."""
 
-    def __init__(self, message: str, *, source: str = "<input>", line: int | None = None):
+    def __init__(self, message: str, *, source: str, line: int):
         self.source = source
         self.line = line
-        where = source if line is None else f"{source}:{line}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(f"{source}:{line}: {message}")
 
 
 class FormatError(RarevalError):

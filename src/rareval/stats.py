@@ -84,10 +84,9 @@ def _tau_b(x, y):
     # Over ordered pairs (i, j), i == j included: each unordered pair counts
     # twice and the diagonal adds n zero signs.
     signed = x_zero = y_zero = 0
-    step = max(1, _TAU_BLOCK_CELLS // max(x.size, 1))
-    for start in range(0, n, step):
-        sx = np.sign(x[:, start : start + step, None] - x[:, None, :])
-        sy = np.sign(y[:, start : start + step, None] - y[:, None, :])
+    for rows in _blocks(n, x.size, _TAU_BLOCK_CELLS):
+        sx = np.sign(x[:, rows, None] - x[:, None, :])
+        sy = np.sign(y[:, rows, None] - y[:, None, :])
         signed = signed + (sx * sy).sum(axis=(1, 2)).astype(np.int64)
         x_zero = x_zero + np.count_nonzero(sx == 0, axis=(1, 2))
         y_zero = y_zero + np.count_nonzero(sy == 0, axis=(1, 2))

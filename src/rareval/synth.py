@@ -44,6 +44,8 @@ from .trec_io import Campaign, Qrels, Run, RunColumns, Vocabulary, intern
 _STREAM_TOPIC = 11
 _STREAM_SKILL = 12
 _STREAM_RANKING = 13
+_RARE_TAG = "hyp-rare"  # the probes' system ids, and the prefix of the rare probe's docs
+_COMMON_TAG = "hyp-common"
 
 HypotheticalKind = Literal["rare", "common"]
 
@@ -173,30 +175,23 @@ def _build_run(tag: str, topic: str, docs: Sequence[str]) -> Run:
     return Run(tag, {topic: _ranked(codes, vocab)})
 
 
-def make_rare_system(
-    campaign: Campaign, topic: str, d: int, *, tag: str = "hyp-rare"
-) -> tuple[Run, Qrels]:
-    """A run of ``d`` fresh relevant documents no other system retrieves.
+def make_rare_system(campaign: Campaign, topic: str, d: int) -> tuple[Run, Qrels]:
+    """A run ``hyp-rare`` of ``d`` fresh relevant documents no other system retrieves.
 
-    The fresh doc-ids are namespaced under ``tag`` and also returned inside
+    The fresh doc-ids are namespaced under ``hyp-rare`` and also returned inside
     an augmented qrels (judged relevant at the campaign's threshold).
     """
     if d < 1:
         raise DataError(f"the probe system needs at least 1 document, got {d}")
     check_cells(d, f"d {d} fresh documents")
-    fresh = _fresh_doc_ids(campaign, tag, d)
-    return _build_run(tag, topic, fresh), campaign.qrels.with_added(topic, fresh)
+    fresh = _fresh_doc_ids(campaign, _RARE_TAG, d)
+    return _build_run(_RARE_TAG, topic, fresh), campaign.qrels.with_added(topic, fresh)
 
 
 def make_common_system(
-    campaign: Campaign,
-    topic: str,
-    d: int,
-    *,
-    count_depth: int | None = None,
-    tag: str = "hyp-common",
+    campaign: Campaign, topic: str, d: int, *, count_depth: int | None = None
 ) -> Run:
-    """A run of the ``d`` most commonly-retrieved relevant documents.
+    """A run ``hyp-common`` of the ``d`` most commonly-retrieved relevant documents.
 
     Documents are ordered by how many systems retrieve them within
     ``count_depth`` (descending), ties broken by ascending doc-id.
@@ -210,7 +205,7 @@ def make_common_system(
             f"only {len(available)} relevant retrieved documents exist for "
             f"topic {topic!r}; cannot take {d}"
         )
-    return _build_run(tag, topic, [doc for doc, _ in available[:d]])
+    return _build_run(_COMMON_TAG, topic, [doc for doc, _ in available[:d]])
 
 
 @dataclass
@@ -259,14 +254,14 @@ def rank_trajectory(
         raise ConfigError(f"a trajectory tracks P@k_rareness or P@k_mixture, not {bad[0]}")
     if not specs:
         return []
-    tag = f"hyp-{kind}"
+    tag = _RARE_TAG if kind == "rare" else _COMMON_TAG
     base = campaign if multi_topic else campaign.restricted_to_topics([topic])
     if tag in base.system_ids:
         raise FormatError(f"duplicate system id {tag!r}")
     if kind == "rare":
-        probe, qrels = make_rare_system(base, topic, d_max, tag=tag)
+        probe, qrels = make_rare_system(base, topic, d_max)
     else:
-        probe = make_common_system(base, topic, d_max, count_depth=rarity_depth, tag=tag)
+        probe = make_common_system(base, topic, d_max, count_depth=rarity_depth)
         qrels = base.qrels
     columns = probe.columns[topic]
     probes = [

@@ -233,9 +233,6 @@ class Qrels:
     def n_relevant(self, topic: str) -> int:
         return len(self.relevant(topic))
 
-    def is_relevant(self, topic: str, doc: str) -> bool:
-        return doc in self.relevant(topic)
-
     def with_added(self, topic: str, docs: Iterable[str]) -> "Qrels":
         """A new Qrels with ``docs`` judged relevant for ``topic``, at the threshold grade."""
         grade = self.relevance_threshold
@@ -301,25 +298,15 @@ class Campaign:
         return self.qrels.topics
 
     @property
-    def run_topics(self) -> frozenset[str]:
-        out: set[str] = set()
-        for run in self.runs:
-            out.update(run.columns)
-        return frozenset(out)
-
-    @property
     def unjudged_topics(self) -> frozenset[str]:
         """Topics some run retrieved for but no qrels line judges."""
-        return self.run_topics - set(self.qrels.topics)
+        return frozenset(t for run in self.runs for t in run.columns) - set(self.qrels.topics)
 
     def run_for(self, system_id: str) -> Run:
         for run in self.runs:
             if run.system_id == system_id:
                 return run
         raise DataError(f"no run with system id {system_id!r}")
-
-    def topic_coverage(self) -> dict[str, frozenset[str]]:
-        return {r.system_id: frozenset(r.columns) for r in self.runs}
 
     def restricted_to_topics(self, topics: Sequence[str]) -> "Campaign":
         """A campaign view containing only the given topics."""

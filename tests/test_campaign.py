@@ -13,6 +13,7 @@ from rareval import (
     Campaign,
     MetricSpec,
     Qrels,
+    Run,
     SynthSpec,
     build_rarity_index,
     evaluate_campaign,
@@ -484,7 +485,8 @@ class TestMixedVocabularies:
     ):
         topic = data.draw(st.sampled_from(campaign.judged_topics))
         tag = data.draw(st.sampled_from(["a-probe", "z-probe"]))  # its row first or last
-        probe, qrels = make_rare_system(campaign, topic, d, tag=tag)
+        probe, qrels = make_rare_system(campaign, topic, d)
+        probe = Run(tag, probe.columns)
         probe_vocab = probe.columns[topic].vocab
         mixed = Campaign([*campaign.runs, probe], qrels)
         # The caller's runs keep their own vocabularies.

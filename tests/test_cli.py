@@ -355,6 +355,26 @@ class TestStabilityDrawsAreShared:
         assert len(built) == 80  # 2 topic counts x 40 trials, not 6 metrics x 40
 
 
+class TestEmptyPath:
+    """An empty ``--runs`` or ``--qrels`` value is a usage error naming the
+    flag, not the working directory, which here holds only run files: read
+    as a run directory, it would score them with exit 0."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--runs", "", "--qrels", "judged/qrels.txt"], "--runs"),
+        (["--runs", "A.run", "", "--qrels", "judged/qrels.txt"], "--runs"),
+        (["--runs", "A.run", "--qrels", ""], "--qrels"),
+    ])
+    def test_exits_2_naming_the_flag(self, toy_files, capsys, monkeypatch, argv, flag):
+        qrels = Path(toy_files[1])
+        monkeypatch.chdir(qrels.parent)
+        Path("judged").mkdir()  # a subdirectory, which a run directory's listing skips
+        qrels.rename("judged/qrels.txt")
+        code, out, err = run_cli(["eval", *argv], capsys)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: expected a path or '-', got an empty value" in err
+
+
 class TestSeedRange:
     """A seed is an unsigned 64-bit integer; nothing wraps modulo 2**64."""
 
@@ -631,6 +651,74 @@ class TestInputOrderInvariance:
                 printed.append(out)
             outputs.add(tuple(printed))
         assert len(outputs) == 1
+
+
+class TestMetamorphicInvariance:
+    """Every command that reads a campaign prints the same bytes when the
+    lines of each run file and of the qrels file are shuffled (which reorders
+    their topics too), when whole topic blocks are reordered, and when every
+    system is renamed in a way that keeps their sort order; system names in
+    the output are mapped back first. Under ``--dedup reject`` no file order
+    decides which of two duplicates is kept."""
+
+    COMMANDS = (
+        ["eval", "--metric", "P@5_rareness", "--metric", "AP_rareness", "--per-topic"],
+        ["compare"],
+        ["discpower"],
+        ["stability", "--trials", "50", "--per-pair"],
+        ["subset", "--sizes", "2,4", "--trials", "20"],
+        ["report"],
+        ["trajectory", "--kind", "rare", "--topic", "t000", "--d-max", "4"],
+        ["trajectory", "--kind", "common", "--topic", "t000", "--d-max", "3"],
+    )
+    # Sorted as sys000..sys005 are, but of other lengths and characters.
+    RENAMED = ("A", "B-2", "b", "c.three", "c_four", "zz")
+
+    def write_campaign(self, folder, change):
+        campaign = generate_campaign(SynthSpec(6, 3, 8, 60, 0.5, 15, seed=2))
+        systems = campaign.system_ids
+        names = dict(zip(systems, self.RENAMED if change == "rename" else systems))
+        blocks = {  # per file, per topic, its lines in rank order
+            f"{names[run.system_id]}.run": {
+                topic: [  # scores tie in threes, so the doc-id breaks ties
+                    f"{topic} Q0 {doc} {rank} {(15 - rank) // 3}.5 {names[run.system_id]}"
+                    for rank, doc in enumerate(run.docs(topic), 1)
+                ]
+                for topic in run.topics
+            }
+            for run in campaign.runs
+        }
+        blocks["qrels.txt"] = {topic: [f"{topic} 0 {doc} 1" for doc in by_doc]
+                               for topic, by_doc in campaign.qrels.judgments.items()}
+        rng = random.Random(0)
+        folder.mkdir()
+        for name, by_topic in blocks.items():
+            topics = sorted(by_topic, reverse=change == "topics")
+            lines = [line for topic in topics for line in by_topic[topic]]
+            if change == "shuffle":
+                rng.shuffle(lines)
+            if change in ("shuffle", "topics"):  # each file's topics come out of order
+                assert list(dict.fromkeys(line.split()[0] for line in lines)) != sorted(by_topic)
+            (folder / name).write_text("\n".join(lines) + "\n")
+        runs = [str(folder / f"{names[system]}.run") for system in systems]
+        return runs, str(folder / "qrels.txt"), {new: old for old, new in names.items()}
+
+    def outputs(self, folder, capsys, change):
+        runs, qrels, original = self.write_campaign(folder, change)
+        inputs = ["--runs", *runs, "--qrels", qrels, "--cutoff", "5", "--dedup", "reject"]
+        printed = []
+        for command in self.COMMANDS:
+            code, out, err = run_cli([*command, *inputs], capsys)
+            lines = ["\t".join(original.get(f, f) for f in line.split("\t"))
+                     for line in out.splitlines()]
+            printed.append((command, code, lines, err))
+        return printed
+
+    @pytest.mark.parametrize("change", ["shuffle", "topics", "rename"])
+    def test_every_command_prints_the_same_bytes(self, tmp_path, capsys, change):
+        unchanged = self.outputs(tmp_path / "unchanged", capsys, None)
+        assert all(code == 0 and lines for _, code, lines, _ in unchanged)
+        assert self.outputs(tmp_path / change, capsys, change) == unchanged
 
 
 class TestLoadCache:
@@ -1153,6 +1241,7 @@ class TestNumpyOnFirstUse:
         [], ["bogus"],
         ["stability", "--seed", "-1", "--runs", "x", "--qrels", "y"],
         ["eval", "--runs", "x", "--qrels", "y", "--cutoff", "0"],
+        ["eval", "--runs", "", "--qrels", "y"],
         ["trajectory", "--kind", "rare", "--topic", "t1", "--d-max", "0",
          "--runs", "x", "--qrels", "y"],
     )

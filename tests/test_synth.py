@@ -202,8 +202,8 @@ class TestMakeRareSystem:
         assert len(docs) == 3
         existing = {d for r in toy4.runs for d in r.docs("t1")}
         assert not set(docs) & existing
-        assert all(qrels.is_relevant("t1", d) for d in docs)
-        assert not any(toy4.qrels.is_relevant("t1", d) for d in docs)
+        assert all(d in qrels.relevant("t1") for d in docs)
+        assert not any(d in toy4.qrels.relevant("t1") for d in docs)
 
     def test_rarity_after_joining(self, toy4):
         run, qrels = make_rare_system(toy4, "t1", 3)
@@ -398,7 +398,7 @@ def rebuilt_trajectory_ranks(campaign, kind, topic, specs, d_max, *, multi_topic
                 run = make_common_system(base, topic, d, count_depth=rarity_depth)
                 extended = Campaign([*base.runs, run], base.qrels)
             matrix = evaluate_campaign(extended, [spec], rarity_depth=rarity_depth)[0]
-            ranks.append((d, rank_systems(mean_scores(matrix)).rank_of(run.system_id)))
+            ranks.append((d, rank_systems(mean_scores(matrix)).ranks_by_system()[run.system_id]))
         out.append(ranks)
     return out
 

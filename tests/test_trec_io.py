@@ -217,7 +217,7 @@ class TestParseQrels:
 
     def test_unjudged_is_nonrelevant(self):
         qrels = qrels_of("t1 0 d1 1\n")
-        assert not qrels.is_relevant("t1", "dX")
+        assert "dX" not in qrels.relevant("t1")
         assert qrels.grade("t1", "dX") == 0
 
     def test_frozen_with_an_empty_set_for_an_unjudged_topic(self):
@@ -343,13 +343,6 @@ class TestLoadCampaign:
         )
         assert campaign.unjudged_topics == {"t9"}
         assert campaign.judged_topics == ("t1",)
-
-    def test_topic_coverage(self):
-        campaign = load_campaign(
-            [io.StringIO("t1 Q0 d1 1 2.0 s\nt2 Q0 d1 1 2.0 s\n")],
-            io.StringIO("t1 0 d1 1\nt2 0 d1 1\n"),
-        )
-        assert campaign.topic_coverage() == {"s": frozenset({"t1", "t2"})}
 
 
 _ID_CHARS = st.sampled_from("abdQXZ019-_.:/#")

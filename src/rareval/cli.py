@@ -173,10 +173,11 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer in 0..{MAX_SEED}, got {text!r}")
 
 
-def _path(text: str) -> str:
-    """A ``--runs`` or ``--qrels`` value; an empty one is not the working directory."""
+def _path(text: str, expected: str = "a path or '-'") -> str:
+    """A ``--runs``, ``--qrels`` or ``--out`` value; an empty one is not the
+    working directory."""
     if not text:
-        raise argparse.ArgumentTypeError("expected a path or '-', got an empty value")
+        raise argparse.ArgumentTypeError(f"expected {expected}, got an empty value")
     return text
 
 
@@ -490,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", type=float, default=0.5,
                    help="overlap bias in [0,1]: how much systems share relevant picks")
     p.add_argument("--depth", type=int, required=True, help="documents per run per topic")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=lambda text: _path(text, "a directory"),
+                   help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = add_parser("trajectory", parents=[inputs, common],

@@ -114,7 +114,7 @@ def _picks(take_shared: np.ndarray, private: np.ndarray, shared: np.ndarray) -> 
     pos = np.empty_like(private)
     pos[private] = np.arange(len(private))
     shared_pos = pos[shared].tolist()
-    before: list[int] = []  # private picks made before each shared pick
+    slots: list[int] = []  # the shared picks' slots
     taken: list[int] = []  # private positions of the shared picks, in slot order
     blocked: list[int] = []  # the same, ascending
     at = below = 0
@@ -126,11 +126,16 @@ def _picks(take_shared: np.ndarray, private: np.ndarray, shared: np.ndarray) -> 
             at += 1
         if at == len(shared_pos):
             break  # the shared order is exhausted: this slot and the rest are private
-        before.append(m)
+        slots.append(slot)
         taken.append(shared_pos[at])
         bisect.insort(blocked, shared_pos[at])
         at += 1
-    return np.insert(np.delete(private, taken), before, private[taken])[: len(take_shared)]
+    private_slot = np.ones(len(take_shared), bool)
+    private_slot[slots] = False
+    picks = np.empty(len(take_shared), private.dtype)
+    picks[slots] = private[taken]
+    picks[private_slot] = np.delete(private, taken)[: len(picks) - len(slots)]
+    return picks
 
 
 def generate_campaign(spec: SynthSpec) -> Campaign:

@@ -791,19 +791,24 @@ def format_run(run: Run) -> str:
 
     Re-parsing the result under the same ordering policy yields an identical
     Run (canonical order is a fixed point; ``repr`` round-trips the scores;
-    a Run has no empty ranking to lose).
+    a Run has no empty ranking to lose). A line joins the topic's head, a
+    doc-id and a tail (``" {rank} {score!r} {system}\n"``). Tails are built
+    once per distinct column pair: a topic whose rank and score columns equal
+    the previous topic's bit for bit, as in every generated run, reuses its
+    tails. The bytes are those of one f-string per line.
     """
-    out: list[str] = []
+    parts: list[str] = []
+    key = tails = None
     for topic in run.topics:
         c = run.columns[topic]
-        ids = c.vocab.ids
-        out.extend(
-            f"{topic} Q0 {ids[code]} {rank} {score!r} {run.system_id}"
-            for code, rank, score in zip(
-                c.codes.tolist(), c.rank_fields.tolist(), c.scores.tolist()
-            )
-        )
-    return "\n".join(out) + ("\n" if out else "")
+        columns = (c.rank_fields.tobytes(), c.scores.tobytes())  # bitwise: -0.0 is not 0.0
+        if columns != key:
+            key = columns
+            tails = [f" {rank} {score!r} {run.system_id}\n"
+                     for rank, score in zip(c.rank_fields.tolist(), c.scores.tolist())]
+        head, ids = f"{topic} Q0 ", c.vocab.ids
+        parts.extend([f"{head}{ids[code]}{tail}" for code, tail in zip(c.codes.tolist(), tails)])
+    return "".join(parts)
 
 
 def format_qrels(qrels: Qrels) -> str:

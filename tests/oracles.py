@@ -13,6 +13,9 @@ without parsing.
 The studentized-range references are the package's former scipy-based CDF and
 bisection quantile, kept unchanged with their own copy of the rule constants.
 
+``naive_format_run`` is the run writer's former loop: one f-string per
+line, with nothing shared between topics.
+
 ``loop_subset_experiment`` is the subset experiment's former per-trial loop:
 its draws, resampling and tau are its own, and it scores each row set
 through a callable the caller passes, such as the package scorer's one-set
@@ -362,3 +365,18 @@ def naive_generate_campaign(spec):
             )
         runs.append((f"sys{s:03d}", columns))
     return runs, judgments
+
+
+def naive_format_run(run):
+    """A package ``Run`` in 6-column TREC format, one f-string per line."""
+    out: list[str] = []
+    for topic in run.topics:
+        c = run.columns[topic]
+        ids = c.vocab.ids
+        out.extend(
+            f"{topic} Q0 {ids[code]} {rank} {score!r} {run.system_id}"
+            for code, rank, score in zip(
+                c.codes.tolist(), c.rank_fields.tolist(), c.scores.tolist()
+            )
+        )
+    return "\n".join(out) + ("\n" if out else "")

@@ -356,23 +356,29 @@ class TestStabilityDrawsAreShared:
 
 
 class TestEmptyPath:
-    """An empty ``--runs`` or ``--qrels`` value is a usage error naming the
-    flag, not the working directory, which here holds only run files: read
-    as a run directory, it would score them with exit 0."""
+    """An empty ``--runs``, ``--qrels`` or ``synth --out`` value is a usage
+    error naming the flag, not the working directory, which here holds only
+    run files: read as a run directory, it would score them with exit 0, and
+    ``synth`` would write its run and qrels files among them."""
 
     @pytest.mark.parametrize("argv, flag", [
-        (["--runs", "", "--qrels", "judged/qrels.txt"], "--runs"),
-        (["--runs", "A.run", "", "--qrels", "judged/qrels.txt"], "--runs"),
-        (["--runs", "A.run", "--qrels", ""], "--qrels"),
+        (["eval", "--runs", "", "--qrels", "judged/qrels.txt"], "--runs"),
+        (["eval", "--runs", "A.run", "", "--qrels", "judged/qrels.txt"], "--runs"),
+        (["eval", "--runs", "A.run", "--qrels", ""], "--qrels"),
+        (["synth", "--systems", "2", "--topics", "1", "--relevant", "1", "--pool", "5",
+          "--depth", "2", "--out", ""], "--out"),
     ])
     def test_exits_2_naming_the_flag(self, toy_files, capsys, monkeypatch, argv, flag):
         qrels = Path(toy_files[1])
         monkeypatch.chdir(qrels.parent)
         Path("judged").mkdir()  # a subdirectory, which a run directory's listing skips
         qrels.rename("judged/qrels.txt")
-        code, out, err = run_cli(["eval", *argv], capsys)
+        before = {path: path.read_bytes() for path in Path().glob("**/*") if path.is_file()}
+        code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
-        assert f"argument {flag}: expected a path or '-', got an empty value" in err
+        expected = "a directory" if flag == "--out" else "a path or '-'"  # synth has no '-'
+        assert f"argument {flag}: expected {expected}, got an empty value" in err
+        assert {path: path.read_bytes() for path in Path().glob("**/*") if path.is_file()} == before
 
 
 class TestSeedRange:
@@ -1242,6 +1248,8 @@ class TestNumpyOnFirstUse:
         ["stability", "--seed", "-1", "--runs", "x", "--qrels", "y"],
         ["eval", "--runs", "x", "--qrels", "y", "--cutoff", "0"],
         ["eval", "--runs", "", "--qrels", "y"],
+        ["synth", "--systems", "2", "--topics", "1", "--relevant", "1", "--pool", "5",
+         "--depth", "2", "--out", ""],
         ["trajectory", "--kind", "rare", "--topic", "t1", "--d-max", "0",
          "--runs", "x", "--qrels", "y"],
     )

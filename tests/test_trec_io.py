@@ -34,6 +34,9 @@ from rareval import trec_io
 from rareval.errors import ConfigError, RarevalError
 from rareval.trec_io import (
     _CODE_LIMIT,
+    Run,
+    RunColumns,
+    Vocabulary,
     _assemble,
     _Interner,
     _parse_run_lines,
@@ -371,6 +374,74 @@ def run_texts(draw):
         for doc in draw(st.lists(ids, min_size=1, max_size=8, unique=True))
     ]
     return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def column_sharing_runs(draw):
+    """1-3 runs over one vocabulary of ids that may be non-ASCII, with the
+    same columns: each topic after the first, in sorted order, takes the
+    previous topic's (rank, score) columns by identity, as equal copies,
+    with the sign of every zero score flipped, with new ranks, or drawn
+    afresh at a new length. Scores come from a small tied set with both
+    zeros."""
+    ids = st.text(_WIDE_ID_CHARS, min_size=1, max_size=5)
+    vocab = Vocabulary(draw(st.lists(ids, min_size=1, max_size=8, unique=True)))
+
+    def new_ranks(n):
+        return np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n,
+                                      max_size=n)), dtype=np.int64)
+
+    def new_scores(n):
+        return np.array(draw(st.lists(_SCORES, min_size=n, max_size=n)), dtype=np.float64)
+
+    n = draw(st.integers(1, len(vocab.ids)))
+    ranks, scores = new_ranks(n), new_scores(n)
+    columns = {}
+    for topic in sorted(draw(st.lists(ids, min_size=1, max_size=4, unique=True))):
+        how = draw(st.sampled_from(["identical", "equal", "zeros flipped", "new ranks", "new"]))
+        if how == "equal":
+            ranks, scores = ranks.copy(), scores.copy()
+        elif how == "zeros flipped":
+            scores = np.where(scores == 0, -scores, scores)
+        elif how == "new ranks":
+            ranks = new_ranks(n)
+        elif how == "new":
+            n = draw(st.integers(1, len(vocab.ids)))
+            ranks, scores = new_ranks(n), new_scores(n)
+        codes = draw(st.permutations(range(len(vocab.ids))))[:n]
+        columns[topic] = RunColumns(np.array(codes, dtype=np.int32), scores, ranks, vocab)
+    return [Run(system, columns) for system in draw(st.lists(ids, min_size=1, max_size=3,
+                                                             unique=True))]
+
+
+class TestFormatRun:
+    """``format_run`` shares line tails between topics with bit-equal
+    columns; its bytes are those of the one-line-at-a-time oracle."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(runs=column_sharing_runs())
+    def test_equals_the_line_by_line_oracle(self, runs):
+        for run in runs:
+            assert format_run(run) == oracles.naive_format_run(run)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(text=run_texts(), order=st.sampled_from(["score", "rank-field"]))
+    def test_equals_the_oracle_on_parsed_runs(self, text, order):
+        run = run_of(text, order=order)
+        assert format_run(run) == oracles.naive_format_run(run)
+
+    def test_a_zero_keeps_its_sign_where_the_previous_topic_has_the_other(self):
+        vocab = Vocabulary(["d1", "d2"])
+        ranks = np.array([1, 2], dtype=np.int64)
+        run = Run("A", {
+            topic: RunColumns(np.array([0, 1], dtype=np.int32), np.array(scores), ranks, vocab)
+            for topic, scores in (("t1", [1.0, -0.0]), ("t2", [1.0, 0.0]), ("t3", [1.0, -0.0]))
+        })
+        assert format_run(run) == (
+            "t1 Q0 d1 1 1.0 A\nt1 Q0 d2 2 -0.0 A\n"
+            "t2 Q0 d1 1 1.0 A\nt2 Q0 d2 2 0.0 A\n"
+            "t3 Q0 d1 1 1.0 A\nt3 Q0 d2 2 -0.0 A\n"
+        )
 
 
 class TestRoundTrip:
